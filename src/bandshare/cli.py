@@ -31,7 +31,7 @@ from .engine import (
     replicate,
     run,
 )
-from .entry import EntryParams, punishment_length_entry
+from .entry import EntryParams
 from .figures import balance_cap_rows, entry_threshold_rows, scheme_comparison_rows
 from .static_sharing import InfeasiblePunishmentError, StaticParams, min_punishment_length
 from .traffic import TrafficSpec, finite_levels, two_level
@@ -408,11 +408,12 @@ def cmd_verify(args) -> int:
         findings = []
         n_star = min(scenario.n, _entry_market_size(scheme.params))
         for size in range(2, n_star + 1):
-            t_len = punishment_length_entry(size, model, scheme.params.traffic)
-            params = StaticParams(size, model.band_mhz, punishment_slots=t_len)
             findings.extend(
                 verify_static_profile(
-                    params, model, [scheme.params.traffic] * size, scenario.discount
+                    scheme.params.static_params(size),
+                    model,
+                    [scheme.params.traffic] * size,
+                    scenario.discount,
                 )
             )
     os.makedirs(args.out, exist_ok=True)

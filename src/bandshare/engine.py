@@ -216,16 +216,11 @@ def run(scenario: Scenario, injectors=(), replication: int = 0, collect_trace: b
             allocs = [full] * n
             phase_label = "full"
         elif isinstance(scheme, StaticScheme):
-            allocs = []
-            next_state = state
-            for i in range(n):
-                next_state, alloc = static_step(scheme.params, state, observed, i)
-                allocs.append(alloc)
-            in_punishment = state.in_punishment() or (
-                next_state.in_punishment() or next_state.expect_full_band
-            )
+            state, profile = static_step(scheme.params, state, observed)
+            allocs = list(profile)
+            # the next state is a punishment one exactly when this slot punished
+            in_punishment = state.in_punishment() or state.expect_full_band
             phase_label = "punishment" if in_punishment else "cooperation"
-            state = next_state
         elif isinstance(scheme, DynamicScheme):
             reports = [int(v) for v in lam]
             for inj in lie_injs:

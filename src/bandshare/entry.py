@@ -4,7 +4,9 @@ Prospective operators arrive one at a time.  Entering costs `cost` utility
 units up front; an entrant expects the full-spectrum floor utility at worst,
 so entry pays off only while that floor covers the cost.  `max_entrants`
 is the largest market size whose floor still does; later arrivals stay out,
-and incumbents re-partition the band equally whenever someone joins.
+and incumbents re-partition the band equally whenever someone joins.  A slot
+costs O(n): each market size's static profile (punishment length and block
+tiling) is built when first reached and kept on the `EntryParams`.
 """
 
 from __future__ import annotations
@@ -75,12 +77,21 @@ class EntryParams:
     traffic: TrafficSpec
     arrival_slots: tuple[int, ...] = ()  # slot of each prospective arrival, ascending
     n_cap: int = 4096
+    _static_by_size: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.cost < 0:
             raise ValueError("cost must be non-negative")
         if any(b <= a for a, b in zip(self.arrival_slots, self.arrival_slots[1:])):
             raise ValueError("arrival slots must be strictly increasing")
+
+    def static_params(self, active: int) -> StaticParams:
+        """Equal blocks and sized punishment of an `active`-operator market, kept per size."""
+        sized = self._static_by_size
+        if active not in sized:
+            t = punishment_length_entry(active, self.model, self.traffic)
+            sized[active] = StaticParams(active, self.model.band_mhz, punishment_slots=t)
+        return sized[active]
 
 
 @dataclass(frozen=True)
@@ -104,11 +115,6 @@ def initial_entry_state(params: EntryParams) -> EntryState:
     )
 
 
-def _active_params(params: EntryParams, active: int) -> StaticParams:
-    t = punishment_length_entry(active, params.model, params.traffic)
-    return StaticParams(n=active, band_mhz=params.model.band_mhz, punishment_slots=t)
-
-
 def entry_step(
     params: EntryParams,
     state: EntryState,
@@ -123,7 +129,6 @@ def entry_step(
     operator that should have stayed out breaks the market: all actives fall
     back to full-spectrum transmission for good.
     """
-    model = params.model
     decision = None
     active = state.active
     arrived = state.arrived
@@ -146,21 +151,15 @@ def entry_step(
             decision,
             [],
         )
-    full = SpectrumAllocation.full_band(model.band_mhz)
     if broken:
         return (
             EntryState(state.n_star, active, arrived, True, inner),
             decision,
-            [full] * active,
+            [SpectrumAllocation.full_band(params.model.band_mhz)] * active,
         )
-    sparams = _active_params(params, active)
-    allocs = []
-    next_inner = inner
-    for i in range(active):
-        next_inner, alloc = step(sparams, inner, observed_allocs, operator=i)
-        allocs.append(alloc)
+    next_inner, allocs = step(params.static_params(active), inner, observed_allocs)
     return (
         EntryState(state.n_star, active, arrived, broken, next_inner),
         decision,
-        allocs,
+        list(allocs),
     )

@@ -473,7 +473,15 @@ def verify_static_profile(
     the one-shot comparison per operator and traffic level is closed form:
     the deviation slot is priced at the exclusive-band bound, followed by
     the punishment window of full-spectrum sharing (everlasting under the
-    grim variant)."""
+    grim variant).
+
+    Known defect: `static_sharing.min_punishment_length` sizes T against the
+    undiscounted loss T * (u_orth - u_full), while here, relative to the
+    one-slot gain, the window is worth only (delta + ... + delta**T) *
+    (u_orth - u_full).  So profiles sized there can be reported profitable
+    to deviate from: at delta=0.99 with Cobb-Douglas utility at 30 dB, the
+    auto-sized n=4 static profile, and equal-traffic (p_high=0.5) entry
+    markets of 5 and of 7 to 14 operators."""
     from .traffic import expectation
 
     if not 0.0 <= discount < 1.0:

@@ -31,6 +31,10 @@ def blocks(params):
 FULL = SpectrumAllocation.full_band(W)
 
 
+def full_profile(n):
+    return (FULL,) * n
+
+
 # --- allocations -------------------------------------------------------------
 
 
@@ -80,31 +84,31 @@ def test_share_validation():
 def test_cooperation_continues_when_everyone_conforms():
     params = StaticParams(2, W, punishment_slots=3)
     state = PhaseState()
-    nxt, alloc = step(params, state, blocks(params), operator=0)
+    nxt, allocs = step(params, state, blocks(params))
     assert nxt == PhaseState(COOPERATION)
-    assert alloc == static_allocation(params, 0)
+    assert allocs == tuple(blocks(params))
 
 
 def test_full_band_observation_triggers_punishment():
     params = StaticParams(2, W, punishment_slots=3)
     observed = [FULL, static_allocation(params, 1)]
-    nxt, alloc = step(params, PhaseState(), observed, operator=1)
-    assert alloc == FULL  # answering slot is punishment slot 1
+    nxt, allocs = step(params, PhaseState(), observed)
+    assert allocs == full_profile(2)  # answering slot is punishment slot 1
     assert nxt == PhaseState(PUNISHMENT, remaining=2)
 
 
 def test_punishment_countdown_and_exit():
     params = StaticParams(2, W, punishment_slots=3)
     state = PhaseState(PUNISHMENT, remaining=2)
-    state, alloc = step(params, state, [FULL, FULL], operator=0)
-    assert alloc == FULL and state == PhaseState(PUNISHMENT, remaining=1)
-    state, alloc = step(params, state, [FULL, FULL], operator=0)
-    assert alloc == FULL
+    state, allocs = step(params, state, [FULL, FULL])
+    assert allocs == full_profile(2) and state == PhaseState(PUNISHMENT, remaining=1)
+    state, allocs = step(params, state, [FULL, FULL])
+    assert allocs == full_profile(2)
     assert state == PhaseState(COOPERATION, expect_full_band=True)
     # resume slot: last slot's full-band emissions were prescribed
-    state, alloc = step(params, state, [FULL, FULL], operator=0)
+    state, allocs = step(params, state, [FULL, FULL])
     assert state == PhaseState(COOPERATION)
-    assert alloc == static_allocation(params, 0)
+    assert allocs == tuple(blocks(params))
 
 
 def test_punishment_lasts_exactly_t_full_band_slots():
@@ -114,28 +118,28 @@ def test_punishment_lasts_exactly_t_full_band_slots():
     emitted = []
     observed = [FULL, static_allocation(params, 1)]  # deviation last slot
     for _ in range(10):
-        state, alloc = step(params, state, observed, operator=0)
-        emitted.append(alloc)
-        observed = [alloc, alloc if alloc == FULL else static_allocation(params, 1)]
-    assert emitted[:t_len] == [FULL] * t_len
-    assert emitted[t_len] == static_allocation(params, 0)
-    assert all(a == static_allocation(params, 0) for a in emitted[t_len:])
+        state, allocs = step(params, state, observed)
+        emitted.append(allocs)
+        observed = allocs
+    assert emitted[:t_len] == [full_profile(2)] * t_len
+    assert emitted[t_len] == tuple(blocks(params))
+    assert all(a == tuple(blocks(params)) for a in emitted[t_len:])
 
 
 def test_grim_punishment_never_exits():
     params = StaticParams(2, W, grim=True)
-    state, alloc = step(params, PhaseState(), [FULL, FULL], operator=0)
-    assert alloc == FULL
+    state, allocs = step(params, PhaseState(), [FULL, FULL])
+    assert allocs == full_profile(2)
     for _ in range(10_000):
-        state, alloc = step(params, state, [FULL, FULL], operator=0)
-        assert alloc == FULL
+        state, allocs = step(params, state, [FULL, FULL])
+        assert allocs == full_profile(2)
     assert state.in_punishment()
 
 
 def test_observed_length_mismatch_rejected():
     params = StaticParams(3, W)
     with pytest.raises(ValueError):
-        step(params, PhaseState(), [FULL, FULL], operator=0)
+        step(params, PhaseState(), [FULL, FULL])
 
 
 def test_fuzzed_punishment_entry_and_length():
@@ -152,10 +156,11 @@ def test_fuzzed_punishment_entry_and_length():
         emitted_full = []
         deviation_slots = []
         for t in range(horizon):
-            state, alloc = step(params, state, observed, operator=0)
-            is_full = alloc == FULL
+            state, allocs = step(params, state, observed)
+            is_full = allocs == full_profile(3)
+            assert is_full or allocs == tuple(good)
             emitted_full.append(is_full)
-            emissions = [FULL] * 3 if is_full else list(good)
+            emissions = list(allocs)
             if not is_full and rng.random() < 0.08:
                 emissions[1] = FULL
                 deviation_slots.append(t)
@@ -234,3 +239,19 @@ def test_min_length_uses_each_operators_own_share():
     u_f = 0.5 * W * math.log2(1.0 + 100.0 / 101.0)
     expected = math.floor(gap / (u_o - u_f)) + 1
     assert t_len == expected
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="min_punishment_length sizes T against the undiscounted loss, "
+    "verify_static_profile discounts the punishment window",
+)
+def test_auto_sized_four_operator_profile_certifies():
+    from bandshare.verifier import verify_static_profile
+
+    model = UtilityModel(W, 1000.0, family=CobbDouglasUtility())
+    specs = [two_level(p) for p in (0.25, 0.5, 0.25, 0.5)]
+    t_len = min_punishment_length(model, specs, StaticParams(4, W))
+    params = StaticParams(4, W, punishment_slots=t_len)
+    findings = verify_static_profile(params, model, specs, 0.99)
+    assert not any(f.profitable for f in findings)
