@@ -40,8 +40,8 @@ from .entry import (
 from .spectrum import SpectrumAllocation
 from .static_sharing import (
     InfeasiblePunishmentError,
-    PhaseState,
     StaticParams,
+    TriggerState,
     min_punishment_length,
     static_allocation,
     step,

@@ -530,8 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--out", default=".")
         cmd.add_argument("--grid", default=None)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--replications", type=int, default=None)
         cmd.set_defaults(handler=handler)
 
     return parser

@@ -7,18 +7,23 @@ balance among eligible low reporters.  Balances are capped, quantized to the
 trade size, and conserved (they sum to zero); there is no money anywhere.
 
 Balances are stored in integer units of the trade quantum so ledger
-arithmetic is exact.
+arithmetic is exact.  Support deviations are punished by the same trigger
+rule as static sharing (`static_sharing.TriggerState`); only the cooperation
+profile, re-tiled from each slot's trades, differs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .spectrum import SpectrumAllocation
-from .static_sharing import InfeasiblePunishmentError
-
-COOPERATION = "cooperation"
-PUNISHMENT = "punishment"
+from .static_sharing import (
+    COOPERATION,
+    PUNISHMENT,
+    InfeasiblePunishmentError,
+    TriggerState,
+    punishment_left,
+)
 
 
 class NoCertifiedTradeSizeError(ValueError):
@@ -150,17 +155,15 @@ def tile_band(params: DynamicParams, widths) -> list[SpectrumAllocation]:
 
 @dataclass(frozen=True)
 class DynamicState:
-    phase: str = COOPERATION
-    remaining: int = 0
-    ledger: BalanceLedger = field(default_factory=lambda: BalanceLedger(()))
-    prescribed_last: tuple[SpectrumAllocation, ...] | None = None
+    ledger: BalanceLedger
+    trigger: TriggerState = TriggerState()
 
     def in_punishment(self) -> bool:
-        return self.phase == PUNISHMENT
+        return self.trigger.in_punishment()
 
 
 def initial_dynamic_state(params: DynamicParams) -> DynamicState:
-    return DynamicState(ledger=BalanceLedger.zeros(params.n))
+    return DynamicState(BalanceLedger.zeros(params.n))
 
 
 def dynamic_step(
@@ -171,35 +174,20 @@ def dynamic_step(
 ) -> tuple[DynamicState, list[SpectrumAllocation], list[Trade]]:
     """Advance one slot.
 
-    In cooperation, a mismatch between the previous slot's observed supports
-    and what the profile prescribed sends everyone to full band for exactly
+    A mismatch between the previous slot's observed supports and what that
+    slot prescribed sends everyone to full band for exactly
     `punishment_slots` slots (this answering slot is the first); the ledger
     is frozen throughout punishment.  Otherwise reports drive trades, trades
     drive widths, and the band is re-tiled contiguously.
     """
-    full = tuple([SpectrumAllocation.full_band(params.band_mhz)] * params.n)
-    if state.in_punishment():
-        if state.remaining <= 1:
-            nxt = DynamicState(COOPERATION, 0, state.ledger, full)
-        else:
-            nxt = DynamicState(PUNISHMENT, state.remaining - 1, state.ledger, full)
-        return nxt, list(full), []
-    if state.prescribed_last is not None and observed_allocs is not None:
-        if len(observed_allocs) != params.n:
-            raise ValueError("need one observed support per operator")
-        if tuple(observed_allocs) != state.prescribed_last:
-            if params.punishment_slots == 1:
-                nxt = DynamicState(COOPERATION, 0, state.ledger, full)
-            else:
-                nxt = DynamicState(
-                    PUNISHMENT, params.punishment_slots - 1, state.ledger, full
-                )
-            return nxt, list(full), []
+    left = punishment_left(state.trigger, observed_allocs, params.punishment_slots)
+    if left is not None:
+        full = (SpectrumAllocation.full_band(params.band_mhz),) * params.n
+        return DynamicState(state.ledger, TriggerState(PUNISHMENT, left, full)), list(full), []
     trades = trading_policy(params, reports, state.ledger)
-    ledger = apply_trades(state.ledger, trades)
     allocs = tile_band(params, widths_after_trades(params, trades))
-    nxt = DynamicState(COOPERATION, 0, ledger, tuple(allocs))
-    return nxt, allocs, trades
+    trigger = TriggerState(COOPERATION, 0, tuple(allocs))
+    return DynamicState(apply_trades(state.ledger, trades), trigger), allocs, trades
 
 
 def choose_trade_size(

@@ -16,10 +16,9 @@ from . import rng, traffic as traffic_mod
 from .dynamic_sharing import DynamicParams, dynamic_step, initial_dynamic_state
 from .entry import EntryParams, entry_step, initial_entry_state
 from .spectrum import SpectrumAllocation
-from .static_sharing import PhaseState, StaticParams, step as static_step
+from .static_sharing import PUNISHMENT, StaticParams, TriggerState, step as static_step
 from .traffic import TrafficSpec
 from .utility import UtilityModel
-from .verifier import default_horizon
 
 LIE_HIGH = "lie_high"
 LIE_LOW = "lie_low"
@@ -99,7 +98,7 @@ class Scenario:
 
 @dataclass
 class Trace:
-    """Columnar per-(slot, operator) records plus per-slot trades."""
+    """Columnar per-(slot, operator) records."""
 
     slot: list[int] = field(default_factory=list)
     operator: list[int] = field(default_factory=list)
@@ -108,7 +107,6 @@ class Trace:
     utility: list[float] = field(default_factory=list)
     balance_mhz: list[float] = field(default_factory=list)
     phase: list[str] = field(default_factory=list)
-    trades: list[tuple] = field(default_factory=list)  # one tuple of trades per slot
 
     def rows(self):
         return zip(
@@ -190,7 +188,7 @@ def run(scenario: Scenario, injectors=(), replication: int = 0, collect_trace: b
     full = SpectrumAllocation.full_band(model.band_mhz)
 
     if isinstance(scheme, StaticScheme):
-        state: object = PhaseState()
+        state: object = TriggerState()
     elif isinstance(scheme, DynamicScheme):
         state = initial_dynamic_state(scheme.params)
     elif isinstance(scheme, EntryScheme):
@@ -208,8 +206,6 @@ def run(scenario: Scenario, injectors=(), replication: int = 0, collect_trace: b
 
     for t in range(scenario.horizon):
         lam = [float(levels[i][t]) for i in range(n)]
-        trades: tuple = ()
-        phase_label = "cooperation"
         balances = (0.0,) * n
 
         if isinstance(scheme, FullSpectrumScheme):
@@ -218,20 +214,14 @@ def run(scenario: Scenario, injectors=(), replication: int = 0, collect_trace: b
         elif isinstance(scheme, StaticScheme):
             state, profile = static_step(scheme.params, state, observed)
             allocs = list(profile)
-            # the next state is a punishment one exactly when this slot punished
-            in_punishment = state.in_punishment() or state.expect_full_band
-            phase_label = "punishment" if in_punishment else "cooperation"
+            phase_label = state.phase
         elif isinstance(scheme, DynamicScheme):
             reports = [int(v) for v in lam]
             for inj in lie_injs:
                 if inj.active(t):
                     reports[inj.operator] = 1 if inj.kind == LIE_HIGH else 0
-            state, allocs, trade_list = dynamic_step(
-                scheme.params, state, reports, observed
-            )
-            trades = tuple(trade_list)
-            is_punish = all(a == full for a in allocs)
-            phase_label = "punishment" if is_punish else "cooperation"
+            state, allocs, _ = dynamic_step(scheme.params, state, reports, observed)
+            phase_label = state.trigger.phase
             balances = state.ledger.mhz(scheme.params)
         else:  # EntryScheme
             arrival = t in scheme.params.arrival_slots
@@ -240,8 +230,7 @@ def run(scenario: Scenario, injectors=(), replication: int = 0, collect_trace: b
                 scheme.params, state, observed_allocs=obs_active, arrival=arrival
             )
             allocs = active_allocs + [SpectrumAllocation.empty()] * (n - len(active_allocs))
-            in_pun = state.inner.in_punishment() or state.inner.expect_full_band
-            phase_label = "punishment" if (in_pun or state.market_broken) else "cooperation"
+            phase_label = state.trigger.phase
 
         overridden = False
         for inj in width_injs:
@@ -251,7 +240,7 @@ def run(scenario: Scenario, injectors=(), replication: int = 0, collect_trace: b
 
         if isinstance(scheme, FullSpectrumScheme) and not overridden:
             utils = [model.full_spectrum_utility(n, lam[i]) for i in range(n)]
-        elif phase_label == "punishment" and not overridden:
+        elif phase_label == PUNISHMENT and not overridden:
             active = sum(1 for a in allocs if not a.is_empty())
             utils = [
                 model.full_spectrum_utility(active, lam[i]) if not allocs[i].is_empty() else 0.0
@@ -278,7 +267,6 @@ def run(scenario: Scenario, injectors=(), replication: int = 0, collect_trace: b
                 trace.utility.append(utils[i])
                 trace.balance_mhz.append(balances[i] if i < len(balances) else 0.0)
                 trace.phase.append(phase_label)
-            trace.trades.append(trades)
 
         observed = allocs
         weight *= d
@@ -346,4 +334,6 @@ def replicate(scenario: Scenario, injectors=()) -> ReplicationSummary:
 
 def auto_horizon(discount: float, tail: float = 1e-8) -> int:
     """Horizon making the truncated discounted weight smaller than `tail`."""
-    return default_horizon(discount, tail)
+    if discount <= 0.0:
+        return 1
+    return max(1, math.ceil(math.log(tail) / math.log(discount)))

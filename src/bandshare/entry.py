@@ -6,7 +6,9 @@ so entry pays off only while that floor covers the cost.  `max_entrants`
 is the largest market size whose floor still does; later arrivals stay out,
 and incumbents re-partition the band equally whenever someone joins.  A slot
 costs O(n): each market size's static profile (punishment length and block
-tiling) is built when first reached and kept on the `EntryParams`.
+tiling) is built when first reached and kept on the `EntryParams`.  The
+actives follow the static scheme's trigger rule (`static_sharing.TriggerState`);
+an entrant that transmits out of equilibrium starts its punishment for good.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .spectrum import SpectrumAllocation
-from .static_sharing import PhaseState, StaticParams, min_punishment_length, step
+from .static_sharing import PUNISHMENT, StaticParams, TriggerState, min_punishment_length, step
 from .traffic import TrafficSpec, expectation
 from .utility import UtilityModel
 
@@ -105,8 +107,7 @@ class EntryState:
     n_star: int
     active: int = 0
     arrived: int = 0
-    market_broken: bool = False  # an out-of-equilibrium entrant transmitted
-    inner: PhaseState = field(default_factory=PhaseState)
+    trigger: TriggerState = TriggerState()
 
 
 def initial_entry_state(params: EntryParams) -> EntryState:
@@ -132,8 +133,7 @@ def entry_step(
     decision = None
     active = state.active
     arrived = state.arrived
-    broken = state.market_broken
-    inner = state.inner
+    trigger = state.trigger
     if arrival:
         arrived += 1
         invests = arrived <= state.n_star
@@ -144,22 +144,8 @@ def entry_step(
             # across the boundary is skipped
             observed_allocs = None
     if rogue_entrant_transmits:
-        broken = True
-    if active == 0:
-        return (
-            EntryState(state.n_star, active, arrived, broken, inner),
-            decision,
-            [],
-        )
-    if broken:
-        return (
-            EntryState(state.n_star, active, arrived, True, inner),
-            decision,
-            [SpectrumAllocation.full_band(params.model.band_mhz)] * active,
-        )
-    next_inner, allocs = step(params.static_params(active), inner, observed_allocs)
-    return (
-        EntryState(state.n_star, active, arrived, broken, next_inner),
-        decision,
-        list(allocs),
-    )
+        trigger = TriggerState(PUNISHMENT, -1, trigger.prescribed)
+    allocs = ()
+    if active:
+        trigger, allocs = step(params.static_params(active), trigger, observed_allocs)
+    return EntryState(state.n_star, active, arrived, trigger), decision, list(allocs)

@@ -1,4 +1,4 @@
-"""Static orthogonal sharing with trigger punishment.
+"""Static orthogonal sharing with trigger punishment, and the trigger rule itself.
 
 In the cooperation state every operator transmits on its fixed block and the
 blocks tile the band.  Any support mismatch observed in the previous slot
@@ -7,6 +7,11 @@ the grim variant, otherwise for exactly `punishment_slots` slots, counting
 the slot in which the deviation is first answered.  `step` advances the whole
 profile in O(n) per slot, against the block tiling that each `StaticParams`
 instance builds once and caches (`blocks`).
+
+The trigger rule is one state machine shared by all three schemes:
+`TriggerState` and `punishment_left` drive static `step`, entry
+(`entry.entry_step`) and dynamic sharing (`dynamic_sharing.dynamic_step`);
+only what each scheme prescribes in cooperation differs.
 """
 
 from __future__ import annotations
@@ -80,20 +85,43 @@ class StaticParams:
 
 
 @dataclass(frozen=True)
-class PhaseState:
-    """Phase of the trigger profile plus what was prescribed last slot.
+class TriggerState:
+    """Where the trigger profile stands after a slot.
 
-    `expect_full_band` marks the first cooperation slot after punishment:
-    the previous slot's prescribed supports were full band, not the blocks,
-    and detection must compare against what was actually prescribed.
+    `phase` is what that slot did (COOPERATION or PUNISHMENT), `remaining`
+    the punishment slots still to come (-1: forever), and `prescribed` the
+    profile that slot prescribed (None before the first slot), against which
+    the next slot checks what it observes.
     """
 
     phase: str = COOPERATION
     remaining: int = 0
-    expect_full_band: bool = False
+    prescribed: Profile | None = None
 
     def in_punishment(self) -> bool:
-        return self.phase == PUNISHMENT
+        """Whether the next slot punishes."""
+        return self.remaining != 0
+
+
+def punishment_left(state: TriggerState, observed, window: int) -> int | None:
+    """Punishment slots still to come after this slot, or None if it cooperates.
+
+    `window` is the punishment length T, or -1 for grim.  A support deviation
+    observed in the previous slot is answered at once, so this slot is the
+    first of the window.  Nothing is checked when `observed` or the state's
+    prescribed profile is None (the first slot, or a change of market size).
+    """
+    if state.in_punishment():
+        left = state.remaining
+    elif observed is None or state.prescribed is None:
+        return None
+    elif len(observed) != len(state.prescribed):
+        raise ValueError("need one observed support per operator")
+    elif tuple(observed) == state.prescribed:
+        return None
+    else:
+        left = window
+    return left - 1 if left > 0 else -1
 
 
 def static_allocation(params: StaticParams, operator: int) -> SpectrumAllocation:
@@ -106,32 +134,19 @@ def static_allocation(params: StaticParams, operator: int) -> SpectrumAllocation
     return SpectrumAllocation.block(lo, min(hi, params.band_mhz), params.band_mhz)
 
 
-def _after_punishment_slot(params: StaticParams, left: int) -> PhaseState:
-    """State after a full-band slot with `left` slots of the window still to come."""
-    if params.grim:
-        return PhaseState(PUNISHMENT, remaining=-1)
-    if left <= 0:
-        return PhaseState(COOPERATION, expect_full_band=True)
-    return PhaseState(PUNISHMENT, remaining=left)
-
-
-def step(params: StaticParams, state: PhaseState, observed_allocs) -> tuple[PhaseState, Profile]:
-    """Advance one slot: returns (state for next slot, every operator's support).
+def step(
+    params: StaticParams, state: TriggerState, observed_allocs
+) -> tuple[TriggerState, Profile]:
+    """Advance one slot: returns (state after this slot, every operator's support).
 
     `observed_allocs` are the previous slot's supports of all operators
     (None on the very first slot).
     """
+    left = punishment_left(state, observed_allocs, -1 if params.grim else params.punishment_slots)
+    if left is None:
+        return TriggerState(COOPERATION, 0, params.blocks), params.blocks
     full = params.full_band_profile
-    if state.in_punishment():
-        return _after_punishment_slot(params, state.remaining - 1), full
-    if observed_allocs is not None:
-        if len(observed_allocs) != params.n:
-            raise ValueError("need one observed support per operator")
-        prescribed = full if state.expect_full_band else params.blocks
-        if tuple(observed_allocs) != prescribed:
-            # the answering slot is itself the first punishment slot
-            return _after_punishment_slot(params, params.punishment_slots - 1), full
-    return PhaseState(COOPERATION), params.blocks
+    return TriggerState(PUNISHMENT, left, full), full
 
 
 def smallest_deterring_length(gap: float, per_slot_loss: float) -> int:

@@ -34,6 +34,7 @@ from .dynamic_sharing import (
     trading_policy,
     widths_after_trades,
 )
+from .engine import auto_horizon
 from .static_sharing import InfeasiblePunishmentError, smallest_deterring_length
 from .utility import UtilityModel
 
@@ -610,7 +611,7 @@ def mc_value_estimate(
     rollout uses the same counter-based generator as the simulator, keyed by
     (seed, state, replication, slot)."""
     if horizon is None:
-        horizon = default_horizon(discount)
+        horizon = auto_horizon(discount)
     size = len(chain.rewards)
     k = chain.k
     pairs = [pair for pair, p in chain.probs.items() if p > 0]
@@ -638,13 +639,6 @@ def mc_value_estimate(
         means[start] = acc.mean()
         ses[start] = acc.std(ddof=1) / math.sqrt(replications)
     return means, ses
-
-
-def default_horizon(discount: float, tail: float = 1e-8) -> int:
-    """Slots needed so the remaining discounted weight is below `tail`."""
-    if discount <= 0.0:
-        return 1
-    return max(1, math.ceil(math.log(tail) / math.log(discount)))
 
 
 # --- many-operator verification -------------------------------------------
@@ -883,7 +877,7 @@ def _mc_n_op_findings(
     share = params.share_mhz
     trade = params.trade_mhz
     highs = np.array([spec.p_high for spec in traffic_specs])
-    horizon = mc_horizon if mc_horizon is not None else default_horizon(discount, 1e-6)
+    horizon = mc_horizon if mc_horizon is not None else auto_horizon(discount, 1e-6)
     z99 = 2.3263478740408408  # one-sided 99% normal quantile
 
     # burn-in walk to find the commonly visited states

@@ -230,6 +230,16 @@ def test_fig4_improvement_nondecreasing(tmp_path):
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4"])
+@pytest.mark.parametrize("flag", ["--seed", "--replications"])
+def test_fig_commands_take_no_seed_or_replications(fig, flag, tmp_path, capsys):
+    # the figures are exact computations: no draw depends on a seed
+    with pytest.raises(SystemExit) as exc:
+        main([fig, "--out", str(tmp_path), flag, "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_summary_csv_round_trip(tmp_path):
     from bandshare.cli import SUMMARY_HEADER, parse_summary_csv, summary_rows
     from bandshare.engine import replicate

@@ -13,6 +13,7 @@ from bandshare.entry import (
     punishment_length_entry,
 )
 from bandshare.spectrum import SpectrumAllocation
+from bandshare.static_sharing import PUNISHMENT, TriggerState
 from bandshare.traffic import two_level
 from bandshare.utility import CobbDouglasUtility, LinearUtility, UtilityModel
 
@@ -152,7 +153,7 @@ def test_rogue_entrant_breaks_market_for_good():
     for _ in range(5):
         state, _, allocs = entry_step(params, state, observed_allocs=allocs)
         assert allocs == [FULL, FULL]
-    assert state.market_broken
+    assert state.trigger == TriggerState(PUNISHMENT, -1, (FULL, FULL))
 
 
 def test_high_cost_first_arrival_stays_out():

@@ -8,8 +8,8 @@ from bandshare.static_sharing import (
     COOPERATION,
     PUNISHMENT,
     InfeasiblePunishmentError,
-    PhaseState,
     StaticParams,
+    TriggerState,
     min_punishment_length,
     static_allocation,
     step,
@@ -33,6 +33,16 @@ FULL = SpectrumAllocation.full_band(W)
 
 def full_profile(n):
     return (FULL,) * n
+
+
+def cooperating(params):
+    """State after a cooperation slot: the blocks were prescribed."""
+    return TriggerState(COOPERATION, 0, tuple(blocks(params)))
+
+
+def punishing(n, remaining):
+    """State after a punishment slot with `remaining` slots still to come."""
+    return TriggerState(PUNISHMENT, remaining, full_profile(n))
 
 
 # --- allocations -------------------------------------------------------------
@@ -83,38 +93,37 @@ def test_share_validation():
 
 def test_cooperation_continues_when_everyone_conforms():
     params = StaticParams(2, W, punishment_slots=3)
-    state = PhaseState()
-    nxt, allocs = step(params, state, blocks(params))
-    assert nxt == PhaseState(COOPERATION)
+    nxt, allocs = step(params, cooperating(params), blocks(params))
+    assert nxt == cooperating(params)
     assert allocs == tuple(blocks(params))
 
 
 def test_full_band_observation_triggers_punishment():
     params = StaticParams(2, W, punishment_slots=3)
     observed = [FULL, static_allocation(params, 1)]
-    nxt, allocs = step(params, PhaseState(), observed)
+    nxt, allocs = step(params, cooperating(params), observed)
     assert allocs == full_profile(2)  # answering slot is punishment slot 1
-    assert nxt == PhaseState(PUNISHMENT, remaining=2)
+    assert nxt == punishing(2, 2)
 
 
 def test_punishment_countdown_and_exit():
     params = StaticParams(2, W, punishment_slots=3)
-    state = PhaseState(PUNISHMENT, remaining=2)
+    state = punishing(2, 2)
     state, allocs = step(params, state, [FULL, FULL])
-    assert allocs == full_profile(2) and state == PhaseState(PUNISHMENT, remaining=1)
+    assert allocs == full_profile(2) and state == punishing(2, 1)
     state, allocs = step(params, state, [FULL, FULL])
     assert allocs == full_profile(2)
-    assert state == PhaseState(COOPERATION, expect_full_band=True)
+    assert state == punishing(2, 0) and not state.in_punishment()
     # resume slot: last slot's full-band emissions were prescribed
     state, allocs = step(params, state, [FULL, FULL])
-    assert state == PhaseState(COOPERATION)
+    assert state == cooperating(params)
     assert allocs == tuple(blocks(params))
 
 
 def test_punishment_lasts_exactly_t_full_band_slots():
     t_len = 4
     params = StaticParams(2, W, punishment_slots=t_len)
-    state = PhaseState()
+    state = cooperating(params)
     emitted = []
     observed = [FULL, static_allocation(params, 1)]  # deviation last slot
     for _ in range(10):
@@ -128,7 +137,7 @@ def test_punishment_lasts_exactly_t_full_band_slots():
 
 def test_grim_punishment_never_exits():
     params = StaticParams(2, W, grim=True)
-    state, allocs = step(params, PhaseState(), [FULL, FULL])
+    state, allocs = step(params, cooperating(params), [FULL, FULL])
     assert allocs == full_profile(2)
     for _ in range(10_000):
         state, allocs = step(params, state, [FULL, FULL])
@@ -139,7 +148,7 @@ def test_grim_punishment_never_exits():
 def test_observed_length_mismatch_rejected():
     params = StaticParams(3, W)
     with pytest.raises(ValueError):
-        step(params, PhaseState(), [FULL, FULL])
+        step(params, cooperating(params), [FULL, FULL])
 
 
 def test_fuzzed_punishment_entry_and_length():
@@ -151,7 +160,7 @@ def test_fuzzed_punishment_entry_and_length():
     for t_len in (1, 2, 5):
         params = StaticParams(3, W, punishment_slots=t_len)
         good = blocks(params)
-        state = PhaseState()
+        state = TriggerState()
         observed = None
         emitted_full = []
         deviation_slots = []

@@ -2,11 +2,13 @@
 
 The oracle is the per-operator form of the trigger rule: each operator's
 call checks conformance by rebuilding every block with `static_allocation`
-and then emits its own block.  The profile step must give the same next
+and then emits its own block; the profile it prescribed is what the
+operators emitted.  The profile step must give the same next
 state and bit-identical supports, and the engine must give identical traces
 and revenues whichever of the two it runs on.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -26,8 +28,8 @@ from bandshare.spectrum import SpectrumAllocation
 from bandshare.static_sharing import (
     COOPERATION,
     PUNISHMENT,
-    PhaseState,
     StaticParams,
+    TriggerState,
     static_allocation,
     step,
 )
@@ -42,24 +44,24 @@ def oracle_operator_step(params, state, observed, operator):
     full = SpectrumAllocation.full_band(params.band_mhz)
     if state.in_punishment():
         if params.grim:
-            return state, full
+            return TriggerState(PUNISHMENT, -1), full
         if state.remaining <= 1:
-            return PhaseState(COOPERATION, expect_full_band=True), full
-        return PhaseState(PUNISHMENT, remaining=state.remaining - 1), full
-    if observed is not None:
+            return TriggerState(PUNISHMENT, 0), full
+        return TriggerState(PUNISHMENT, state.remaining - 1), full
+    if observed is not None and state.prescribed is not None:
         if len(observed) != params.n:
             raise ValueError("need one observed support per operator")
-        if state.expect_full_band:
+        if state.phase == PUNISHMENT:
             conforming = all(a == full for a in observed)
         else:
             conforming = all(a == static_allocation(params, i) for i, a in enumerate(observed))
         if not conforming:
             if params.grim:
-                return PhaseState(PUNISHMENT, remaining=-1), full
+                return TriggerState(PUNISHMENT, -1), full
             if params.punishment_slots == 1:
-                return PhaseState(COOPERATION, expect_full_band=True), full
-            return PhaseState(PUNISHMENT, remaining=params.punishment_slots - 1), full
-    return PhaseState(COOPERATION), static_allocation(params, operator)
+                return TriggerState(PUNISHMENT, 0), full
+            return TriggerState(PUNISHMENT, params.punishment_slots - 1), full
+    return TriggerState(COOPERATION), static_allocation(params, operator)
 
 
 def oracle_step(params, state, observed):
@@ -68,7 +70,7 @@ def oracle_step(params, state, observed):
     for i in range(params.n):
         next_state, alloc = oracle_operator_step(params, state, observed, i)
         allocs.append(alloc)
-    return next_state, tuple(allocs)
+    return replace(next_state, prescribed=tuple(allocs)), tuple(allocs)
 
 
 def uncached_static_params(self, active):
@@ -108,15 +110,15 @@ def deviation(draw):
 def slot_inputs(draw):
     params = draw(static_params())
     n = params.n
-    full = SpectrumAllocation.full_band(W)
+    full = (SpectrumAllocation.full_band(W),) * n
+    blocks = tuple(static_allocation(params, i) for i in range(n))
     state = draw(
         st.sampled_from(
             [
-                PhaseState(),
-                PhaseState(COOPERATION, expect_full_band=True),
-                PhaseState(PUNISHMENT, remaining=-1)
-                if params.grim
-                else PhaseState(PUNISHMENT, remaining=params.punishment_slots),
+                TriggerState(),
+                TriggerState(COOPERATION, 0, blocks),
+                TriggerState(PUNISHMENT, 0, full),
+                TriggerState(PUNISHMENT, -1 if params.grim else params.punishment_slots, full),
             ]
         )
     )
@@ -124,10 +126,8 @@ def slot_inputs(draw):
     if kind == "none":
         return params, state, None
     if kind == "all_full":
-        return params, state, [full] * n
-    prescribed = [full] * n if state.expect_full_band else [
-        static_allocation(params, i) for i in range(n)
-    ]
+        return params, state, list(full)
+    prescribed = list(state.prescribed or blocks)
     if kind == "deviator":
         prescribed[draw(st.integers(0, n - 1))] = deviation(draw)
     return params, state, prescribed
