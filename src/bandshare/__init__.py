@@ -60,6 +60,7 @@ from .verifier import (
     BalanceChain,
     DeviationFinding,
     HypothesisViolationError,
+    OutcomeTable,
     ValueTable,
     borrow_repay_margin_ok,
     build_balance_chain,
@@ -68,8 +69,10 @@ from .verifier import (
     lying_loss_bound,
     mc_value_estimate,
     min_punishment_slots,
+    outcome_table,
     stationary_sum_revenue,
     value_function,
+    verify_detectable_n_ops,
     verify_dynamic_profile,
     verify_static_profile,
     verify_truthfulness_exact,

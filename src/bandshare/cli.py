@@ -28,8 +28,8 @@ from .engine import (
     StaticScheme,
     Trace,
     auto_horizon,
-    replicate,
     run,
+    summarize,
 )
 from .entry import EntryParams
 from .figures import balance_cap_rows, entry_threshold_rows, scheme_comparison_rows
@@ -367,8 +367,12 @@ def cmd_simulate(args) -> int:
     scenario = _read_scenario_file(args.scenario)
     scenario = _apply_overrides(scenario, args)
     os.makedirs(args.out, exist_ok=True)
-    trace, _report = run(scenario)
-    summary = replicate(scenario)
+    trace, report = run(scenario)
+    rest = [
+        run(scenario, replication=r, collect_trace=False)[1]
+        for r in range(1, scenario.replications)
+    ]
+    summary = summarize([report, *rest])
     trace_path = os.path.join(args.out, "trace.csv")
     summary_path = os.path.join(args.out, "summary.csv")
     write_csv(trace_path, TRACE_HEADER, trace_rows(trace))

@@ -235,13 +235,15 @@ def choose_trade_size(
             t_len = verifier.min_punishment_slots(params, model, traffic_specs)
         except InfeasiblePunishmentError:
             continue
+        table = verifier.outcome_table(params)
         findings = verifier.verify_truthfulness_exact(
-            params, model, traffic_specs, discount, joint_probs=joint_probs, tol=tol
+            params, model, traffic_specs, discount, joint_probs=joint_probs, tol=tol,
+            table=table,
         )
         if any(f.profitable for f in findings):
             continue
         revenue = verifier.stationary_sum_revenue(
-            params, model, traffic_specs, joint_probs=joint_probs
+            params, model, traffic_specs, joint_probs=joint_probs, table=table
         )
         if best is None or revenue > best.stationary_sum_revenue:
             best = TradeChoice(

@@ -309,27 +309,34 @@ class ReplicationSummary:
     replications: int
 
 
+def summarize(reports) -> ReplicationSummary:
+    """Mean and standard error of per-operator revenue over the reports of
+    replications 0..R-1, in that order."""
+    reps = len(reports)
+    values = list(zip(*(report.revenues for report in reports)))
+    means = [sum(col) / reps for col in values]
+    if reps > 1:
+        ses = [
+            math.sqrt(sum((v - mean) ** 2 for v in col) / (reps - 1) / reps)
+            for col, mean in zip(values, means)
+        ]
+    else:
+        ses = [0.0] * len(values)
+    return ReplicationSummary(tuple(means), tuple(ses), reps)
+
+
 def replicate(scenario: Scenario, injectors=()) -> ReplicationSummary:
     """Mean and standard error of per-operator revenue across replications.
 
     Replication r draws its own traffic streams keyed by (seed, r); the
     aggregation is a plain mean, so the result does not depend on the order
     replications are run in."""
-    reps = scenario.replications
-    values = [[0.0] * reps for _ in range(scenario.n)]
-    for r in range(reps):
-        _, report = run(scenario, injectors, replication=r, collect_trace=False)
-        for i, v in enumerate(report.revenues):
-            values[i][r] = v
-    means = [sum(col) / reps for col in values]
-    if reps > 1:
-        ses = [
-            math.sqrt(sum((v - means[i]) ** 2 for v in values[i]) / (reps - 1) / reps)
-            for i in range(scenario.n)
+    return summarize(
+        [
+            run(scenario, injectors, replication=r, collect_trace=False)[1]
+            for r in range(scenario.replications)
         ]
-    else:
-        ses = [0.0] * scenario.n
-    return ReplicationSummary(tuple(means), tuple(ses), reps)
+    )
 
 
 def auto_horizon(discount: float, tail: float = 1e-8) -> int:

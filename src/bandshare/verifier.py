@@ -8,6 +8,11 @@ any reachable state; this module enumerates those comparisons exactly, and
 falls back to paired common-random-number Monte Carlo when the joint balance
 chain of many operators is too large to enumerate.
 
+Every exact check reads one `OutcomeTable` per params: the next balances
+and widths of every (joint balance state, report vector), filled by a
+single vectorised trading step.  Two operators are viewed one at a time
+through `BalanceChain`; more operators use the joint chain directly.
+
 Deviation findings use value conventions:
   gain  - one-slot advantage of the deviation, (1-d) normalized
   loss  - discounted future disadvantage of the deviation
@@ -22,24 +27,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
-from .dynamic_sharing import (
-    BalanceLedger,
-    DynamicParams,
-    apply_trades,
-    trading_policy,
-    widths_after_trades,
-)
+from .dynamic_sharing import DynamicParams, validate_reports
 from .engine import auto_horizon
 from .static_sharing import InfeasiblePunishmentError, smallest_deterring_length
 from .utility import UtilityModel
 
 PROFIT_TOL = 1e-9
 RESIDUAL_TOL = 1e-10
+EXACT_STATE_LIMIT = 200_000  # joint balance states solved exactly
+DETECTABLE_NOTE = "deviation slot priced at the exclusive-band bound"
 
 
 class HypothesisViolationError(ValueError):
@@ -91,14 +92,68 @@ def two_op_joint_probs(traffic_specs, joint_probs=None) -> dict:
     }
 
 
-def _two_op_outcome(params: DynamicParams, b_units: int, reports: tuple[int, int]):
-    """Width (MHz) of operator 0 of the pair and its next balance, given its
-    current balance `b_units` (operator 1 of the pair holds the negative)."""
-    ledger = BalanceLedger((b_units, -b_units))
-    trades = trading_policy(params, list(reports), ledger)
-    widths = widths_after_trades(params, trades)
-    nxt = apply_trades(ledger, trades)
-    return widths[0], nxt.units[0]
+@dataclass(frozen=True)
+class OutcomeTable:
+    """Conforming one-slot outcome of every joint balance state and report vector.
+
+    Rows are the zero-sum balance vectors of `enumerate_balance_states`, in
+    its lexicographic order (at n=2, row b+k holds (b, -b)).  Columns are the
+    2**n report vectors in `itertools.product` order, operator 0's report
+    the most significant bit.  The outcomes depend on the params alone;
+    `utilities(model)` prices the distinct widths, one `model.pi` call per
+    (width, level) pair and model for the table's lifetime.
+    """
+
+    params: DynamicParams
+    states: np.ndarray  # (S, n) balance units
+    reports: np.ndarray  # (V, n) report vectors
+    next_index: np.ndarray  # (S, V) row of the balances after the slot's trades
+    width_id: np.ndarray  # (S, V, n) index of each operator's width in `widths_mhz`
+    widths_mhz: tuple[float, ...]  # the distinct widths, ascending
+    _priced: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @staticmethod
+    def column(reports) -> int:
+        col = 0
+        for r in reports:
+            col = 2 * col + r
+        return col
+
+    def utilities(self, model: UtilityModel) -> np.ndarray:
+        """(2, W) utility of each distinct width at traffic level 0 and 1."""
+        if model not in self._priced:
+            self._priced[model] = np.array(
+                [[model.pi(w, lam) for w in self.widths_mhz] for lam in (0, 1)]
+            )
+        return self._priced[model]
+
+
+def outcome_table(params: DynamicParams) -> OutcomeTable:
+    """Apply the trading rule once to every (balance state, report vector)."""
+    n, k = params.n, params.cap_units
+    states = np.array(enumerate_balance_states(n, k), dtype=np.int64)
+    reports = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64)
+    s_count, v_count = len(states), len(reports)
+    nxt, widths = _vector_policy_step(
+        np.repeat(states, v_count, axis=0),
+        np.tile(reports, (s_count, 1)),
+        k,
+        params.share_mhz,
+        params.trade_mhz,
+    )
+    # states are enumerated lexicographically, so their mixed-radix codes ascend
+    radix = (2 * k + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = (states + k) @ radix
+    next_index = np.searchsorted(codes, (nxt + k) @ radix).reshape(s_count, v_count)
+    distinct, width_id = np.unique(widths, return_inverse=True)
+    return OutcomeTable(
+        params,
+        states,
+        reports,
+        next_index,
+        width_id.reshape(s_count, v_count, n),
+        tuple(distinct.tolist()),
+    )
 
 
 @dataclass(frozen=True)
@@ -107,20 +162,31 @@ class BalanceChain:
 
     States are the viewed operator's balance in trade units, -k..k.  The
     transition kernel and one-slot rewards follow from conforming play under
-    the viewed operator's own joint traffic law (own level first).
+    the viewed operator's own joint traffic law (own level first).  Both
+    views read the same outcome table: by symmetry the viewed operator is
+    the table's operator 0, reporting `own` against `other`.
     """
 
     params: DynamicParams
     probs: dict  # (own, other) -> probability
     rewards: np.ndarray  # expected one-slot utility per state
     transitions: np.ndarray  # row-stochastic (2k+1) x (2k+1)
-    width_of: dict  # (b, own, other) -> width in MHz
-    next_of: dict  # (b, own, other) -> next balance units
-    util_of: dict  # (b, own, other) -> one-slot utility of the viewed operator
+    columns: np.ndarray  # outcome-table column of each `probs` pair
+    next_index: np.ndarray  # (2k+1, 4) next state per state and `probs` pair
+    utilities: np.ndarray  # (2k+1, 4) one-slot utility of the viewed operator
 
     @property
     def k(self) -> int:
         return self.params.cap_units
+
+    @property
+    def own_levels(self) -> np.ndarray:
+        return np.array([own for own, _ in self.probs])
+
+    @property
+    def positive(self) -> np.ndarray:
+        """Which `probs` pairs have positive probability."""
+        return np.array([p > 0.0 for p in self.probs.values()])
 
     def state_index(self, b_units: int) -> int:
         return b_units + self.k
@@ -129,34 +195,37 @@ class BalanceChain:
         return [b * self.params.trade_mhz for b in range(-self.k, self.k + 1)]
 
 
+def _require_pair(params: DynamicParams):
+    if params.n != 2:
+        raise ValueError("the balance chain view covers two operators")
+
+
 def build_balance_chain(
     params: DynamicParams,
     model: UtilityModel,
     traffic_specs,
     operator: int = 0,
     joint_probs=None,
+    table: OutcomeTable | None = None,
 ) -> BalanceChain:
-    if params.n != 2:
-        raise ValueError("the balance chain view covers two operators")
+    _require_pair(params)
     joint = two_op_joint_probs(traffic_specs, joint_probs)
     if operator == 1:
         joint = {(l1, l0): p for (l0, l1), p in joint.items()}
-    k = params.cap_units
-    size = 2 * k + 1
+    if table is None:
+        table = outcome_table(params)
+    columns = np.array([table.column(pair) for pair in joint])
+    levels = np.array([own for own, _ in joint])
+    next_index = table.next_index[:, columns]
+    utilities = table.utilities(model)[levels, table.width_id[:, columns, 0]]
+    size = len(table.states)
+    rows = np.arange(size)
     rewards = np.zeros(size)
     trans = np.zeros((size, size))
-    width_of, next_of, util_of = {}, {}, {}
-    for b in range(-k, k + 1):
-        i = b + k
-        for (own, other), p in joint.items():
-            width, nxt = _two_op_outcome(params, b, (own, other))
-            util = model.pi(width, own)
-            width_of[(b, own, other)] = width
-            next_of[(b, own, other)] = nxt
-            util_of[(b, own, other)] = util
-            rewards[i] += p * util
-            trans[i, nxt + k] += p
-    return BalanceChain(params, joint, rewards, trans, width_of, next_of, util_of)
+    for j, p in enumerate(joint.values()):
+        rewards += p * utilities[:, j]
+        trans[rows, next_index[:, j]] += p
+    return BalanceChain(params, joint, rewards, trans, columns, next_index, utilities)
 
 
 @dataclass(frozen=True)
@@ -203,10 +272,15 @@ def lying_gain(
     Positive when the lie grabs or retains spectrum now (e.g. feigning high
     traffic); negative for lies that give spectrum up now in exchange for a
     better balance."""
-    own, other = traffic_pair
-    w_truth, _ = _two_op_outcome(params, balance_units, (own, other))
-    w_lie, _ = _two_op_outcome(params, balance_units, (1 - own, other))
-    return model.pi(w_lie, own) - model.pi(w_truth, own)
+    _require_pair(params)
+    own, other = validate_reports(params, traffic_pair)
+    if not -params.cap_units <= balance_units <= params.cap_units:
+        raise ValueError("balance outside the ledger caps")
+    table = outcome_table(params)
+    widths = table.width_id[balance_units + params.cap_units, :, 0]
+    utils = table.utilities(model)[own]
+    truth = table.column((own, other))
+    return float(utils[widths[truth ^ 2]] - utils[widths[truth]])
 
 
 def borrow_repay_margin_ok(model: UtilityModel, share_mhz: float, trade_mhz: float) -> bool:
@@ -227,6 +301,41 @@ def _gate_two_op(joint: dict):
         )
 
 
+def _view_findings(op, chain, mask, gain, loss, tol, kind_of, note=""):
+    """Findings of one operator's view for the masked (state, pair) cells,
+    in state-then-pair order."""
+    delta = chain.params.trade_mhz
+    k = chain.k
+    balances = [
+        (b * delta, -b * delta) if op == 0 else (-b * delta, b * delta)
+        for b in range(-k, k + 1)
+    ]
+    traffic = [pair if op == 0 else pair[::-1] for pair in chain.probs]
+    kinds = [kind_of(own) for own, _ in chain.probs]
+    rows, cols = np.nonzero(mask)
+    findings = []
+    for i, j, g, l in zip(
+        rows.tolist(), cols.tolist(), gain[rows, cols].tolist(), loss[rows, cols].tolist()
+    ):
+        findings.append(
+            DeviationFinding(
+                operator=op,
+                balances_mhz=balances[i],
+                traffic=traffic[j],
+                kind=kinds[j],
+                gain=g,
+                loss=l,
+                profitable=g > l + tol,
+                note=note,
+            )
+        )
+    return findings
+
+
+def _lie_kind(own: int) -> str:
+    return "lie_high" if own == 0 else "lie_low"
+
+
 def verify_truthfulness_exact(
     params: DynamicParams,
     model: UtilityModel,
@@ -234,47 +343,33 @@ def verify_truthfulness_exact(
     discount: float,
     joint_probs=None,
     tol: float = PROFIT_TOL,
+    table: OutcomeTable | None = None,
 ) -> list[DeviationFinding]:
     """Exact one-shot misreport check over every reachable state.
 
     For each operator, balance, and positive-probability traffic pair, the
     value of lying once (then conforming) is compared against truthful play
     via the exact value function.  Returns every comparison as a finding;
-    the profile is truthful iff none is profitable.
+    the profile is truthful iff none is profitable.  A lie that changes
+    neither the width nor the next balance (caps bind) is not a finding.
     """
-    joint_global = two_op_joint_probs(traffic_specs, joint_probs)
-    _gate_two_op(joint_global)
+    _require_pair(params)
+    _gate_two_op(two_op_joint_probs(traffic_specs, joint_probs))
+    if table is None:
+        table = outcome_table(params)
+    pi_tab = table.utilities(model)
     findings = []
-    delta = params.trade_mhz
     for op in (0, 1):
-        chain = build_balance_chain(params, model, traffic_specs, op, joint_probs)
-        table = value_function(chain, discount)
-        values = np.asarray(table.values)
-        k = chain.k
-        for b in range(-k, k + 1):
-            for (own, other), p in chain.probs.items():
-                if p <= 0.0:
-                    continue
-                w_truth = chain.width_of[(b, own, other)]
-                b_truth = chain.next_of[(b, own, other)]
-                w_lie, b_lie = _two_op_outcome(params, b, (1 - own, other))
-                if w_lie == w_truth and b_lie == b_truth:
-                    continue  # the lie changes nothing (caps bind)
-                gain = (1 - discount) * (model.pi(w_lie, own) - model.pi(w_truth, own))
-                loss = float(discount * (values[b_truth + k] - values[b_lie + k]))
-                findings.append(
-                    DeviationFinding(
-                        operator=op,
-                        balances_mhz=(b * delta, -b * delta)
-                        if op == 0
-                        else (-b * delta, b * delta),
-                        traffic=(own, other) if op == 0 else (other, own),
-                        kind="lie_high" if own == 0 else "lie_low",
-                        gain=gain,
-                        loss=loss,
-                        profitable=gain > loss + tol,
-                    )
-                )
+        chain = build_balance_chain(params, model, traffic_specs, op, joint_probs, table)
+        values = np.asarray(value_function(chain, discount).values)
+        lie = chain.columns ^ 2  # the own report flipped
+        w_truth = table.width_id[:, chain.columns, 0]
+        w_lie = table.width_id[:, lie, 0]
+        b_lie = table.next_index[:, lie]
+        gain = (1 - discount) * (pi_tab[chain.own_levels, w_lie] - chain.utilities)
+        loss = discount * (values[chain.next_index] - values[b_lie])
+        mask = chain.positive & ((w_lie != w_truth) | (b_lie != chain.next_index))
+        findings += _view_findings(op, chain, mask, gain, loss, tol, _lie_kind)
     return findings
 
 
@@ -285,6 +380,7 @@ def verify_detectable_exact(
     discount: float,
     joint_probs=None,
     tol: float = PROFIT_TOL,
+    table: OutcomeTable | None = None,
 ) -> list[DeviationFinding]:
     """Exact check that the punishment length deters support deviations.
 
@@ -295,46 +391,28 @@ def verify_detectable_exact(
     else on the full band, the full band is the single-slot best response,
     and deviating in the final punishment slot only restarts punishment.
     """
-    joint_global = two_op_joint_probs(traffic_specs, joint_probs)
-    findings = []
+    _require_pair(params)
+    two_op_joint_probs(traffic_specs, joint_probs)
+    if table is None:
+        table = outcome_table(params)
     t_len = params.punishment_slots
-    delta = params.trade_mhz
+    punish_factor = discount - discount ** (t_len + 1)
+    u_full_of = [model.full_spectrum_utility(params.n, lam) for lam in (0, 1)]
+    u_max_of = np.array([model.max_utility(lam) for lam in (0, 1)])
+    findings = []
     for op in (0, 1):
-        chain = build_balance_chain(params, model, traffic_specs, op, joint_probs)
-        table = value_function(chain, discount)
-        values = np.asarray(table.values)
-        u_full = sum(
-            p * model.full_spectrum_utility(params.n, own)
-            for (own, other), p in chain.probs.items()
+        chain = build_balance_chain(params, model, traffic_specs, op, joint_probs, table)
+        values = np.asarray(value_function(chain, discount).values)
+        u_full = sum(p * u_full_of[own] for (own, _), p in chain.probs.items())
+        v_next = values[chain.next_index]
+        conform_future = discount * v_next
+        deviate_future = punish_factor * u_full + discount ** (t_len + 1) * v_next
+        gain = (1 - discount) * (u_max_of[chain.own_levels] - chain.utilities)
+        loss = conform_future - deviate_future
+        mask = np.broadcast_to(chain.positive, gain.shape)
+        findings += _view_findings(
+            op, chain, mask, gain, loss, tol, lambda own: "detectable", DETECTABLE_NOTE
         )
-        punish_factor = discount - discount ** (t_len + 1)
-        k = chain.k
-        for b in range(-k, k + 1):
-            for (own, other), p in chain.probs.items():
-                if p <= 0.0:
-                    continue
-                w_truth = chain.width_of[(b, own, other)]
-                b_next = chain.next_of[(b, own, other)]
-                conform_future = discount * values[b_next + k]
-                deviate_future = (
-                    punish_factor * u_full + discount ** (t_len + 1) * values[b_next + k]
-                )
-                gain = (1 - discount) * (model.max_utility(own) - model.pi(w_truth, own))
-                loss = float(conform_future - deviate_future)
-                findings.append(
-                    DeviationFinding(
-                        operator=op,
-                        balances_mhz=(b * delta, -b * delta)
-                        if op == 0
-                        else (-b * delta, b * delta),
-                        traffic=(own, other) if op == 0 else (other, own),
-                        kind="detectable",
-                        gain=gain,
-                        loss=loss,
-                        profitable=gain > loss + tol,
-                        note="deviation slot priced at the exclusive-band bound",
-                    )
-                )
     return findings
 
 
@@ -346,10 +424,24 @@ def verify_dynamic_profile(
     joint_probs=None,
     tol: float = PROFIT_TOL,
 ) -> list[DeviationFinding]:
-    """Misreport and support-deviation findings combined."""
-    return verify_truthfulness_exact(
-        params, model, traffic_specs, discount, joint_probs, tol
-    ) + verify_detectable_exact(params, model, traffic_specs, discount, joint_probs, tol)
+    """Misreport and support-deviation findings combined.
+
+    Two operators are checked on the pair views, more on the joint chain;
+    the joint chain must fit `EXACT_STATE_LIMIT`, because the support
+    deviation check has no Monte Carlo fallback.
+    """
+    if params.n == 2:
+        table = outcome_table(params)
+        return verify_truthfulness_exact(
+            params, model, traffic_specs, discount, joint_probs, tol, table
+        ) + verify_detectable_exact(params, model, traffic_specs, discount, joint_probs, tol, table)
+    if joint_probs is not None:
+        raise ValueError("a joint traffic law is supported for two operators only")
+    _require_exact(params, EXACT_STATE_LIMIT)
+    table = outcome_table(params)
+    return verify_truthfulness_n_ops(
+        params, model, traffic_specs, discount, tol=tol, table=table
+    ) + verify_detectable_n_ops(params, model, traffic_specs, discount, tol=tol, table=table)
 
 
 @dataclass(frozen=True)
@@ -508,33 +600,44 @@ def verify_static_profile(
                     gain=gain,
                     loss=loss,
                     profitable=gain > loss + tol,
-                    note="deviation slot priced at the exclusive-band bound",
+                    note=DETECTABLE_NOTE,
                 )
             )
     return findings
 
 
-def stationary_sum_revenue(
-    params: DynamicParams, model: UtilityModel, traffic_specs, joint_probs=None
-) -> float:
-    """Long-run per-slot total utility of both operators under conformance."""
+def _sum_revenue_chain(params, model, traffic_specs, joint_probs, table):
+    """Transitions of operator 0's balance and the expected one-slot total
+    utility of both operators, per balance state, under conformance."""
+    _require_pair(params)
     joint = two_op_joint_probs(traffic_specs, joint_probs)
-    k = params.cap_units
-    size = 2 * k + 1
+    if table is None:
+        table = outcome_table(params)
+    pi_tab = table.utilities(model)
+    size = len(table.states)
+    rows = np.arange(size)
     trans = np.zeros((size, size))
     sums = np.zeros(size)
-    for b in range(-k, k + 1):
-        i = b + k
-        for (l0, l1), p in joint.items():
-            if p <= 0:
-                continue
-            ledger = BalanceLedger((b, -b))
-            trades = trading_policy(params, [l0, l1], ledger)
-            widths = widths_after_trades(params, trades)
-            nxt = apply_trades(ledger, trades)
-            trans[i, nxt.units[0] + k] += p
-            sums[i] += p * (model.pi(widths[0], l0) + model.pi(widths[1], l1))
-    mu = stationary_distribution(trans, start_index=k)
+    for (l0, l1), p in joint.items():
+        if p <= 0:
+            continue
+        col = table.column((l0, l1))
+        trans[rows, table.next_index[:, col]] += p
+        widths = table.width_id[:, col]
+        sums += p * (pi_tab[l0, widths[:, 0]] + pi_tab[l1, widths[:, 1]])
+    return trans, sums
+
+
+def stationary_sum_revenue(
+    params: DynamicParams,
+    model: UtilityModel,
+    traffic_specs,
+    joint_probs=None,
+    table: OutcomeTable | None = None,
+) -> float:
+    """Long-run per-slot total utility of both operators under conformance."""
+    trans, sums = _sum_revenue_chain(params, model, traffic_specs, joint_probs, table)
+    mu = stationary_distribution(trans, start_index=params.cap_units)
     return float(mu @ sums)
 
 
@@ -548,24 +651,10 @@ def discounted_sum_revenue(
     """Expected discounted total utility of both operators from zero balances."""
     if not 0.0 <= discount < 1.0:
         raise ValueError("discount must lie in [0, 1)")
-    joint = two_op_joint_probs(traffic_specs, joint_probs)
-    k = params.cap_units
-    size = 2 * k + 1
-    trans = np.zeros((size, size))
-    sums = np.zeros(size)
-    for b in range(-k, k + 1):
-        i = b + k
-        for (l0, l1), p in joint.items():
-            if p <= 0:
-                continue
-            ledger = BalanceLedger((b, -b))
-            trades = trading_policy(params, [l0, l1], ledger)
-            widths = widths_after_trades(params, trades)
-            nxt = apply_trades(ledger, trades)
-            trans[i, nxt.units[0] + k] += p
-            sums[i] += p * (model.pi(widths[0], l0) + model.pi(widths[1], l1))
+    trans, sums = _sum_revenue_chain(params, model, traffic_specs, joint_probs, None)
+    size = len(sums)
     values = np.linalg.solve(np.eye(size) - discount * trans, (1.0 - discount) * sums)
-    return float(values[k])
+    return float(values[params.cap_units])
 
 
 def stationary_distribution(trans: np.ndarray, start_index: int = 0) -> np.ndarray:
@@ -613,16 +702,10 @@ def mc_value_estimate(
     if horizon is None:
         horizon = auto_horizon(discount)
     size = len(chain.rewards)
-    k = chain.k
-    pairs = [pair for pair, p in chain.probs.items() if p > 0]
-    probs = np.array([chain.probs[pair] for pair in pairs])
-    cdf = np.cumsum(probs)
-    next_tab = np.zeros((size, len(pairs)), dtype=np.int64)
-    util_tab = np.zeros((size, len(pairs)))
-    for i, b in enumerate(range(-k, k + 1)):
-        for j, (own, other) in enumerate(pairs):
-            next_tab[i, j] = chain.next_of[(b, own, other)] + k
-            util_tab[i, j] = chain.util_of[(b, own, other)]
+    keep = chain.positive
+    cdf = np.cumsum(np.array(list(chain.probs.values()))[keep])
+    next_tab = chain.next_index[:, keep]
+    util_tab = chain.utilities[:, keep]
     means = np.zeros(size)
     ses = np.zeros(size)
     for start in range(size):
@@ -632,7 +715,7 @@ def mc_value_estimate(
         for t in range(horizon):
             u = rng.uniform01_array(seed, start, t, counters=np.arange(replications))
             idx = np.searchsorted(cdf, u, side="right")
-            idx = np.minimum(idx, len(pairs) - 1)
+            idx = np.minimum(idx, len(cdf) - 1)
             acc += weight * util_tab[states, idx]
             states = next_tab[states, idx]
             weight *= discount
@@ -703,33 +786,26 @@ def _traffic_vectors(traffic_specs):
     return vectors, probs
 
 
-def _n_op_outcome(params: DynamicParams, units: tuple[int, ...], reports):
-    ledger = BalanceLedger(units)
-    trades = trading_policy(params, list(reports), ledger)
-    widths = widths_after_trades(params, trades)
-    nxt = apply_trades(ledger, trades)
-    return widths, nxt.units
+def _n_op_values(table, model, traffic_specs, discount):
+    """Per-operator value tables over the joint balance states.
 
-
-def _n_op_values(params, model, traffic_specs, discount, states, index):
-    """Per-operator value tables over the joint balance states."""
-    n = params.n
-    size = len(states)
+    Returns (values, columns, probs, utilities): the table columns and
+    probabilities of the positive-probability traffic vectors, and every
+    operator's one-slot conforming utility per (state, vector, operator).
+    """
     vectors, probs = _traffic_vectors(traffic_specs)
-    t_count = len(vectors)
-    next_idx = np.zeros((size, t_count), dtype=np.int64)
+    columns = np.array([table.column(tv) for tv in vectors])
+    levels = table.reports[columns]
+    utilities = table.utilities(model)[levels, table.width_id[:, columns, :]]
+    next_idx = table.next_index[:, columns]
+    size, n = table.states.shape
     rewards = np.zeros((size, n))
-    for si, units in enumerate(states):
-        for ti, tv in enumerate(vectors):
-            widths, nxt = _n_op_outcome(params, units, tv)
-            next_idx[si, ti] = index[nxt]
-            p = probs[ti]
-            for op in range(n):
-                rewards[si, op] += p * model.pi(widths[op], tv[op])
+    for ti, p in enumerate(probs):
+        rewards += p * utilities[:, ti, :]
     p_arr = np.asarray(probs)
     if size <= 2000:
         trans = np.zeros((size, size))
-        for ti in range(t_count):
+        for ti in range(len(probs)):
             np.add.at(trans, (np.arange(size), next_idx[:, ti]), p_arr[ti])
         a = np.eye(size) - discount * trans
         values = np.linalg.solve(a, (1.0 - discount) * rewards)
@@ -738,14 +814,61 @@ def _n_op_values(params, model, traffic_specs, discount, states, index):
         scale = max(1.0, float(np.max(np.abs(rewards))))
         for _ in range(200_000):
             nxt_val = np.zeros_like(values)
-            for ti in range(t_count):
+            for ti in range(len(probs)):
                 nxt_val += p_arr[ti] * values[next_idx[:, ti], :]
             new = (1.0 - discount) * rewards + discount * nxt_val
             if float(np.max(np.abs(new - values))) < 1e-11 * scale:
                 values = new
                 break
             values = new
-    return values, vectors, probs, next_idx
+    return values, columns, probs, utilities
+
+
+def _check_n_op_inputs(params, traffic_specs, discount):
+    if len(traffic_specs) != params.n:
+        raise ValueError("need one traffic spec per operator")
+    _require_two_level(traffic_specs)
+    if not 0.0 <= discount < 1.0:
+        raise ValueError("discount must lie in [0, 1)")
+
+
+def _require_exact(params: DynamicParams, exact_limit: int):
+    count = count_balance_states(params.n, params.cap_units)
+    if count > exact_limit:
+        raise ValueError(
+            f"the joint balance chain has {count} states, above the exact "
+            f"verification limit of {exact_limit}"
+        )
+
+
+def _joint_findings(table, levels, mask, gain, loss, tol, kind_of, noted, note):
+    """Findings for the masked (state, vector, operator) cells, in that order;
+    `levels` holds the traffic vectors the middle axis runs over, and the
+    cells flagged in `noted` carry `note`."""
+    delta = table.params.trade_mhz
+    balances = [tuple(row) for row in (table.states * delta).tolist()]
+    vectors = [tuple(tv) for tv in levels.tolist()]
+    findings = []
+    for si, ti, op, g, l, flag in zip(
+        *(idx.tolist() for idx in np.nonzero(mask)),
+        gain[mask].tolist(),
+        loss[mask].tolist(),
+        noted[mask].tolist(),
+    ):
+        tv = vectors[ti]
+        findings.append(
+            DeviationFinding(
+                operator=op,
+                balances_mhz=balances[si],
+                traffic=tv,
+                kind=kind_of(tv[op]),
+                gain=g,
+                loss=l,
+                profitable=g > l + tol,
+                note=note if flag else "",
+            )
+        )
+    return findings
 
 
 def verify_truthfulness_n_ops(
@@ -753,12 +876,13 @@ def verify_truthfulness_n_ops(
     model: UtilityModel,
     traffic_specs,
     discount: float,
-    exact_limit: int = 200_000,
+    exact_limit: int = EXACT_STATE_LIMIT,
     tol: float = PROFIT_TOL,
     seed: int = 0,
     mc_states: int = 12,
     mc_replications: int = 1000,
     mc_horizon: int | None = None,
+    table: OutcomeTable | None = None,
 ) -> list[DeviationFinding]:
     """One-shot misreport check for n operators on the joint balance chain.
 
@@ -770,13 +894,10 @@ def verify_truthfulness_n_ops(
     reported in the `loss` field, the paired standard error in
     `estimate_se`).
     """
-    if len(traffic_specs) != params.n:
-        raise ValueError("need one traffic spec per operator")
+    _check_n_op_inputs(params, traffic_specs, discount)
     _gate_n_op(traffic_specs)
-    if not 0.0 <= discount < 1.0:
-        raise ValueError("discount must lie in [0, 1)")
     if count_balance_states(params.n, params.cap_units) <= exact_limit:
-        return _exact_n_op_findings(params, model, traffic_specs, discount, tol)
+        return _exact_n_op_findings(params, model, traffic_specs, discount, tol, table)
     return _mc_n_op_findings(
         params,
         model,
@@ -790,47 +911,71 @@ def verify_truthfulness_n_ops(
     )
 
 
-def _exact_n_op_findings(params, model, traffic_specs, discount, tol):
-    n = params.n
-    delta = params.trade_mhz
-    states = enumerate_balance_states(n, params.cap_units)
-    index = {s: i for i, s in enumerate(states)}
-    values, vectors, probs, _ = _n_op_values(
-        params, model, traffic_specs, discount, states, index
+def _exact_n_op_findings(params, model, traffic_specs, discount, tol, table):
+    if table is None:
+        table = outcome_table(params)
+    pi_tab = table.utilities(model)
+    values, columns, _, utilities = _n_op_values(table, model, traffic_specs, discount)
+    ops = np.arange(params.n)
+    levels = table.reports[columns]  # (vectors, n)
+    lie = columns[:, None] ^ (1 << (params.n - 1 - ops))  # each operator's report flipped
+    truth_next = table.next_index[:, columns, None]
+    lie_next = table.next_index[:, lie]
+    w_truth = table.width_id[:, columns, :]
+    w_lie = table.width_id[:, lie, ops]
+    gain = (1 - discount) * (pi_tab[levels, w_lie] - utilities)
+    loss = discount * (values[truth_next, ops] - values[lie_next, ops])
+    widths = np.array(table.widths_mhz)
+    swing = widths[w_lie] - widths[w_truth]
+    double = (levels == 0) & (np.abs(swing - 2 * params.trade_mhz) < 1e-12)
+    mask = (w_lie != w_truth) | (lie_next != truth_next)
+    return _joint_findings(
+        table, levels, mask, gain, loss, tol, _lie_kind, double,
+        "borrow-instead-of-lend double swing",
     )
-    findings = []
-    for si, units in enumerate(states):
-        for tv, p in zip(vectors, probs):
-            widths_truth, next_truth = _n_op_outcome(params, units, tv)
-            truth_idx = index[next_truth]
-            for op in range(n):
-                lie_reports = list(tv)
-                lie_reports[op] = 1 - lie_reports[op]
-                widths_lie, next_lie = _n_op_outcome(params, units, lie_reports)
-                lie_idx = index[next_lie]
-                if widths_lie[op] == widths_truth[op] and lie_idx == truth_idx:
-                    continue
-                gain = (1 - discount) * (
-                    model.pi(widths_lie[op], tv[op]) - model.pi(widths_truth[op], tv[op])
-                )
-                loss = float(discount * (values[truth_idx, op] - values[lie_idx, op]))
-                swing = widths_lie[op] - widths_truth[op]
-                note = ""
-                if tv[op] == 0 and abs(swing - 2 * delta) < 1e-12:
-                    note = "borrow-instead-of-lend double swing"
-                findings.append(
-                    DeviationFinding(
-                        operator=op,
-                        balances_mhz=tuple(u * delta for u in units),
-                        traffic=tv,
-                        kind="lie_high" if tv[op] == 0 else "lie_low",
-                        gain=gain,
-                        loss=loss,
-                        profitable=gain > loss + tol,
-                        note=note,
-                    )
-                )
-    return findings
+
+
+def verify_detectable_n_ops(
+    params: DynamicParams,
+    model: UtilityModel,
+    traffic_specs,
+    discount: float,
+    exact_limit: int = EXACT_STATE_LIMIT,
+    tol: float = PROFIT_TOL,
+    table: OutcomeTable | None = None,
+) -> list[DeviationFinding]:
+    """Support-deviation check for n operators on the joint balance chain.
+
+    Priced as in `verify_detectable_exact`: the deviation slot at the
+    exclusive-full-band bound, then T slots of n-way full-spectrum sharing
+    at the deviator's expected utility with the ledger frozen, then
+    conformance from the balances the slot's trades left behind.  Exact
+    only: raises ValueError when the chain has more than `exact_limit`
+    states.
+    """
+    _check_n_op_inputs(params, traffic_specs, discount)
+    _require_exact(params, exact_limit)
+    if table is None:
+        table = outcome_table(params)
+    values, columns, probs, utilities = _n_op_values(table, model, traffic_specs, discount)
+    levels = table.reports[columns]
+    u_full_of = [model.full_spectrum_utility(params.n, lam) for lam in (0, 1)]
+    u_max_of = np.array([model.max_utility(lam) for lam in (0, 1)])
+    u_full = np.array(
+        [sum(p * u_full_of[lam] for p, lam in zip(probs, col)) for col in levels.T.tolist()]
+    )
+    t_len = params.punishment_slots
+    punish_factor = discount - discount ** (t_len + 1)
+    v_next = values[table.next_index[:, columns]]
+    conform_future = discount * v_next
+    deviate_future = punish_factor * u_full + discount ** (t_len + 1) * v_next
+    gain = (1 - discount) * (u_max_of[levels] - utilities)
+    loss = conform_future - deviate_future
+    every = np.ones(gain.shape, dtype=bool)
+    return _joint_findings(
+        table, levels, every, gain, loss, tol, lambda lam: "detectable", every,
+        DETECTABLE_NOTE,
+    )
 
 
 def _vector_policy_step(units, reports, k, share, trade):

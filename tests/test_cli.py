@@ -197,6 +197,86 @@ def test_verify_static_below_sizing_reports_profitable(tmp_path):
     assert main(["verify", str(scn), "--out", str(tmp_path)]) == 0
 
 
+THREE_OP_DYNAMIC = """
+scenario.n = 3
+scenario.w_mhz = 100
+scenario.p_linear = 1000
+scenario.delta = 0.99
+utility.family = cobb_douglas
+traffic.op1.p_high = 0.25
+traffic.op2.p_high = 0.5
+traffic.op3.p_high = 0.5
+scheme.kind = dynamic
+scheme.trade_mhz = 10
+scheme.balance_cap_mhz = {cap}
+scheme.punishment_T = auto
+sim.horizon = auto
+sim.seed = 7
+"""
+
+
+def test_verify_three_operator_dynamic(tmp_path, capsys):
+    scn = tmp_path / "s.scn"
+    scn.write_text(THREE_OP_DYNAMIC.format(cap=50))
+    code = main(["verify", str(scn), "--out", str(tmp_path)])
+    assert code in (0, 1)
+    lines = (tmp_path / "findings.csv").read_text().splitlines()
+    assert lines[0] == "state,deviation,gain,loss,profitable"
+    rows = [line.rsplit(",", 4) for line in lines[1:]]
+    assert {kind for _, kind, *_ in rows} == {"lie_high", "lie_low", "detectable"}
+    # 91 joint balance states x 8 traffic vectors x 3 operators
+    assert sum(1 for _, kind, *_ in rows if kind == "detectable") == 91 * 8 * 3
+    for state, kind, gain, loss, flag in rows:
+        balances = state.split("]")[0].removeprefix("b=[").split(",")
+        assert len(balances) == 3 and sum(float(b) for b in balances) == 0.0
+        assert int(flag) == int(float(gain) > float(loss) + 1e-9)
+    profitable = sum(int(flag) for *_, flag in rows)
+    assert code == (1 if profitable else 0)
+
+
+def test_verify_many_operators_fails_up_front_above_exact_limit(tmp_path, capsys):
+    scn = tmp_path / "s.scn"
+    body = THREE_OP_DYNAMIC.format(cap=50).replace("scenario.n = 3", "scenario.n = 7")
+    body += "".join(f"traffic.op{i}.p_high = 0.5\n" for i in range(4, 8))
+    scn.write_text(body.replace("scheme.punishment_T = auto", "scheme.punishment_T = 50"))
+    assert main(["verify", str(scn), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    # 908755 zero-sum balance vectors of seven operators with caps of 5 units
+    assert "908755 states, above the exact verification limit of 200000" in err
+    assert not (tmp_path / "findings.csv").exists()
+
+
+def test_simulate_runs_each_replication_once(tmp_path, monkeypatch):
+    from bandshare import cli
+    from bandshare.cli import SUMMARY_HEADER, summary_rows
+    from bandshare.engine import replicate
+
+    scen_text = DYNAMIC_BODY.format(delta=0.99, trade=25, t=9).replace(
+        "sim.replications = 2", "sim.replications = 3"
+    )
+    scn = tmp_path / "s.scn"
+    scn.write_text(scen_text)
+    # the files as the earlier form wrote them: a traced run, then `replicate`
+    scen = parse_scenario(scen_text)
+    trace, _ = run(scen)
+    write_csv(str(tmp_path / "trace.csv"), TRACE_HEADER, trace_rows(trace))
+    write_csv(str(tmp_path / "summary.csv"), SUMMARY_HEADER,
+              summary_rows(replicate(scen), "dynamic"))
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("replication", 0))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", counted)
+    out = tmp_path / "out"
+    assert main(["simulate", str(scn), "--out", str(out)]) == 0
+    assert sorted(calls) == [0, 1, 2]
+    for name in ("trace.csv", "summary.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
 # --- figure commands --------------------------------------------------------------------
 
 
