@@ -40,6 +40,9 @@ from .utility import UtilityModel
 PROFIT_TOL = 1e-9
 RESIDUAL_TOL = 1e-10
 EXACT_STATE_LIMIT = 200_000  # joint balance states solved exactly
+# (state, report vector, operator) cells of an n-operator profile check;
+# every cell becomes at least one finding
+EXACT_CELL_LIMIT = 1_000_000
 DETECTABLE_NOTE = "deviation slot priced at the exclusive-band bound"
 
 
@@ -156,6 +159,15 @@ def outcome_table(params: DynamicParams) -> OutcomeTable:
     )
 
 
+def _table_for(params: DynamicParams, table: OutcomeTable | None) -> OutcomeTable:
+    """The given outcome table, checked against `params`, or a new one."""
+    if table is None:
+        return outcome_table(params)
+    if table.params != params:
+        raise ValueError("the outcome table was built for other params")
+    return table
+
+
 @dataclass(frozen=True)
 class BalanceChain:
     """Single-operator view of the two-operator balance process.
@@ -212,8 +224,7 @@ def build_balance_chain(
     joint = two_op_joint_probs(traffic_specs, joint_probs)
     if operator == 1:
         joint = {(l1, l0): p for (l0, l1), p in joint.items()}
-    if table is None:
-        table = outcome_table(params)
+    table = _table_for(params, table)
     columns = np.array([table.column(pair) for pair in joint])
     levels = np.array([own for own, _ in joint])
     next_index = table.next_index[:, columns]
@@ -276,11 +287,15 @@ def lying_gain(
     own, other = validate_reports(params, traffic_pair)
     if not -params.cap_units <= balance_units <= params.cap_units:
         raise ValueError("balance outside the ledger caps")
-    table = outcome_table(params)
-    widths = table.width_id[balance_units + params.cap_units, :, 0]
-    utils = table.utilities(model)[own]
-    truth = table.column((own, other))
-    return float(utils[widths[truth ^ 2]] - utils[widths[truth]])
+    _, widths = _vector_policy_step(
+        np.array([[balance_units, -balance_units]] * 2),
+        np.array([[own, other], [1 - own, other]]),
+        params.cap_units,
+        params.share_mhz,
+        params.trade_mhz,
+    )
+    truth, lie = widths[:, 0].tolist()
+    return float(model.pi(lie, own) - model.pi(truth, own))
 
 
 def borrow_repay_margin_ok(model: UtilityModel, share_mhz: float, trade_mhz: float) -> bool:
@@ -355,8 +370,7 @@ def verify_truthfulness_exact(
     """
     _require_pair(params)
     _gate_two_op(two_op_joint_probs(traffic_specs, joint_probs))
-    if table is None:
-        table = outcome_table(params)
+    table = _table_for(params, table)
     pi_tab = table.utilities(model)
     findings = []
     for op in (0, 1):
@@ -393,8 +407,7 @@ def verify_detectable_exact(
     """
     _require_pair(params)
     two_op_joint_probs(traffic_specs, joint_probs)
-    if table is None:
-        table = outcome_table(params)
+    table = _table_for(params, table)
     t_len = params.punishment_slots
     punish_factor = discount - discount ** (t_len + 1)
     u_full_of = [model.full_spectrum_utility(params.n, lam) for lam in (0, 1)]
@@ -427,8 +440,9 @@ def verify_dynamic_profile(
     """Misreport and support-deviation findings combined.
 
     Two operators are checked on the pair views, more on the joint chain;
-    the joint chain must fit `EXACT_STATE_LIMIT`, because the support
-    deviation check has no Monte Carlo fallback.
+    the joint check must fit `EXACT_CELL_LIMIT` (state, traffic vector,
+    operator) cells, because the support deviation check has no Monte Carlo
+    fallback.
     """
     if params.n == 2:
         table = outcome_table(params)
@@ -437,7 +451,7 @@ def verify_dynamic_profile(
         ) + verify_detectable_exact(params, model, traffic_specs, discount, joint_probs, tol, table)
     if joint_probs is not None:
         raise ValueError("a joint traffic law is supported for two operators only")
-    _require_exact(params, EXACT_STATE_LIMIT)
+    _require_exact(params)
     table = outcome_table(params)
     return verify_truthfulness_n_ops(
         params, model, traffic_specs, discount, tol=tol, table=table
@@ -611,8 +625,7 @@ def _sum_revenue_chain(params, model, traffic_specs, joint_probs, table):
     utility of both operators, per balance state, under conformance."""
     _require_pair(params)
     joint = two_op_joint_probs(traffic_specs, joint_probs)
-    if table is None:
-        table = outcome_table(params)
+    table = _table_for(params, table)
     pi_tab = table.utilities(model)
     size = len(table.states)
     rows = np.arange(size)
@@ -832,12 +845,15 @@ def _check_n_op_inputs(params, traffic_specs, discount):
         raise ValueError("discount must lie in [0, 1)")
 
 
-def _require_exact(params: DynamicParams, exact_limit: int):
+def _require_exact(params: DynamicParams):
+    """Refuse an exact n-operator profile check larger than EXACT_CELL_LIMIT."""
     count = count_balance_states(params.n, params.cap_units)
-    if count > exact_limit:
+    cells = count * 2**params.n * params.n
+    if cells > EXACT_CELL_LIMIT:
         raise ValueError(
-            f"the joint balance chain has {count} states, above the exact "
-            f"verification limit of {exact_limit}"
+            f"the joint balance chain has {count} states; with {2**params.n} "
+            f"report vectors and {params.n} operators that is {cells} cells, "
+            f"above the exact verification limit of {EXACT_CELL_LIMIT}"
         )
 
 
@@ -912,8 +928,7 @@ def verify_truthfulness_n_ops(
 
 
 def _exact_n_op_findings(params, model, traffic_specs, discount, tol, table):
-    if table is None:
-        table = outcome_table(params)
+    table = _table_for(params, table)
     pi_tab = table.utilities(model)
     values, columns, _, utilities = _n_op_values(table, model, traffic_specs, discount)
     ops = np.arange(params.n)
@@ -940,7 +955,6 @@ def verify_detectable_n_ops(
     model: UtilityModel,
     traffic_specs,
     discount: float,
-    exact_limit: int = EXACT_STATE_LIMIT,
     tol: float = PROFIT_TOL,
     table: OutcomeTable | None = None,
 ) -> list[DeviationFinding]:
@@ -950,13 +964,12 @@ def verify_detectable_n_ops(
     exclusive-full-band bound, then T slots of n-way full-spectrum sharing
     at the deviator's expected utility with the ledger frozen, then
     conformance from the balances the slot's trades left behind.  Exact
-    only: raises ValueError when the chain has more than `exact_limit`
-    states.
+    only: raises ValueError when the check has more than `EXACT_CELL_LIMIT`
+    (state, traffic vector, operator) cells.
     """
     _check_n_op_inputs(params, traffic_specs, discount)
-    _require_exact(params, exact_limit)
-    if table is None:
-        table = outcome_table(params)
+    _require_exact(params)
+    table = _table_for(params, table)
     values, columns, probs, utilities = _n_op_values(table, model, traffic_specs, discount)
     levels = table.reports[columns]
     u_full_of = [model.full_spectrum_utility(params.n, lam) for lam in (0, 1)]

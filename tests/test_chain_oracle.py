@@ -28,6 +28,7 @@ from bandshare.dynamic_sharing import (
 from bandshare.traffic import two_level
 from bandshare.utility import CobbDouglasUtility, LinearUtility, UtilityModel
 from bandshare.verifier import (
+    EXACT_CELL_LIMIT,
     DeviationFinding,
     HypothesisViolationError,
     build_balance_chain,
@@ -46,6 +47,7 @@ from bandshare.verifier import (
     verify_dynamic_profile,
     verify_truthfulness_exact,
     verify_truthfulness_n_ops,
+    _require_exact,
 )
 
 W = 100.0
@@ -513,8 +515,41 @@ def test_n_op_detectable_reduces_to_pair_check():
 
 
 def test_n_op_profile_fails_up_front_above_the_exact_limit():
-    params = DynamicParams(6, 300.0, trade_mhz=1.0, cap_units=40, punishment_slots=9)
-    model = UtilityModel(300.0, 1000.0, family=CobbDouglasUtility())
-    count = count_balance_states(6, 40)
-    with pytest.raises(ValueError, match=f"{count} states"):
-        verify_dynamic_profile(params, model, [two_level(0.4)] * 6, 0.99)
+    # three operators with caps of 117 units: 41419 states x 8 vectors x 3
+    # operators = 994056 cells, just inside; 118 units give 1011048
+    model = UtilityModel(100.0, 1000.0, family=CobbDouglasUtility())
+    specs = [two_level(0.25), two_level(0.5), two_level(0.5)]
+    for k, fits in ((117, True), (118, False)):
+        cells = count_balance_states(3, k) * 8 * 3
+        assert (cells <= EXACT_CELL_LIMIT) == fits
+        params = DynamicParams(3, 100.0, trade_mhz=1.0, cap_units=k, punishment_slots=50)
+        if fits:
+            _require_exact(params)
+            continue
+        with pytest.raises(ValueError, match=f"{cells} cells"):
+            verify_dynamic_profile(params, model, specs, 0.99)
+        with pytest.raises(ValueError, match=f"{cells} cells"):
+            verify_detectable_n_ops(params, model, specs, 0.99)
+
+
+def test_table_built_for_other_params_is_refused():
+    params = DynamicParams(2, W, trade_mhz=12.5, cap_units=4, punishment_slots=9)
+    model = UtilityModel(W, 1000.0, family=CobbDouglasUtility())
+    specs = [two_level(0.25), two_level(0.5)]
+    other = outcome_table(DynamicParams(2, W, trade_mhz=10.0, cap_units=4, punishment_slots=9))
+    calls = [
+        lambda: build_balance_chain(params, model, specs, table=other),
+        lambda: verify_truthfulness_exact(params, model, specs, 0.99, table=other),
+        lambda: verify_detectable_exact(params, model, specs, 0.99, table=other),
+        lambda: stationary_sum_revenue(params, model, specs, table=other),
+    ]
+    three = DynamicParams(3, W, trade_mhz=12.5, cap_units=2, punishment_slots=9)
+    three_specs = [two_level(0.5)] * 3
+    other3 = outcome_table(DynamicParams(3, W, trade_mhz=12.5, cap_units=3, punishment_slots=9))
+    calls += [
+        lambda: verify_truthfulness_n_ops(three, model, three_specs, 0.99, table=other3),
+        lambda: verify_detectable_n_ops(three, model, three_specs, 0.99, table=other3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="built for other params"):
+            call()

@@ -242,7 +242,8 @@ def test_verify_many_operators_fails_up_front_above_exact_limit(tmp_path, capsys
     assert main(["verify", str(scn), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     # 908755 zero-sum balance vectors of seven operators with caps of 5 units
-    assert "908755 states, above the exact verification limit of 200000" in err
+    assert "908755 states; with 128 report vectors and 7 operators" in err
+    assert "above the exact verification limit of 1000000" in err
     assert not (tmp_path / "findings.csv").exists()
 
 
