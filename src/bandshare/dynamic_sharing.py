@@ -15,6 +15,7 @@ profile, re-tiled from each slot's trades, differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .spectrum import SpectrumAllocation
 from .static_sharing import (
@@ -56,6 +57,14 @@ class DynamicParams:
     def balance_cap_mhz(self) -> float:
         return self.cap_units * self.trade_mhz
 
+    @cached_property
+    def outcomes(self):
+        """The verifier's `OutcomeTable` of these params, built on first use."""
+        # local import: the verifier builds on this module's trading rule
+        from .verifier import outcome_table
+
+        return outcome_table(self)
+
 
 def params_for_cap(
     n: int, band_mhz: float, trade_mhz: float, balance_cap_mhz: float, punishment_slots: int = 1
@@ -65,6 +74,12 @@ def params_for_cap(
     if k < 1:
         raise ValueError("balance cap smaller than one trade unit")
     return DynamicParams(n, band_mhz, trade_mhz, k, punishment_slots)
+
+
+def trade_candidates(share_mhz: float, balance_cap_mhz: float) -> list[float]:
+    """Whole-MHz trade sizes in (0, share_mhz] with at least one quantum
+    fitting under `balance_cap_mhz`, so `params_for_cap` accepts each."""
+    return [float(d) for d in range(1, int(share_mhz) + 1) if balance_cap_mhz // d >= 1]
 
 
 @dataclass(frozen=True)
@@ -197,13 +212,12 @@ def choose_trade_size(
     model,
     traffic_specs,
     discount: float,
-    grid_step_mhz: float = 1.0,
     joint_probs=None,
     tol: float = 1e-9,
 ):
     """Pick the certified trade size with the best stationary sum revenue.
 
-    Candidates are the multiples of `grid_step_mhz` in (0, band/n]; each is
+    Candidates are the `trade_candidates` of the share band/n; each is
     paired with the largest quantized cap fitting under `balance_cap_mhz`.
     A candidate is certified when the borrow/repay margin test passes, the
     exact one-shot-deviation check finds no profitable lie at `discount`,
@@ -216,34 +230,22 @@ def choose_trade_size(
     if n != 2:
         raise ValueError("trade size optimization is defined for two operators")
     w = band_mhz / n
-    candidates = []
-    steps = int(round(w / grid_step_mhz))
-    for m in range(1, steps + 1):
-        d = m * grid_step_mhz
-        if d > w or int(balance_cap_mhz // d) < 1:
-            continue
-        candidates.append(d)
     best = None
-    for d in candidates:
-        try:
-            params = params_for_cap(n, band_mhz, d, balance_cap_mhz)
-        except ValueError:
-            continue
+    for d in trade_candidates(w, balance_cap_mhz):
+        params = params_for_cap(n, band_mhz, d, balance_cap_mhz)
         if not verifier.borrow_repay_margin_ok(model, w, d):
             continue
         try:
             t_len = verifier.min_punishment_slots(params, model, traffic_specs)
         except InfeasiblePunishmentError:
             continue
-        table = verifier.outcome_table(params)
         findings = verifier.verify_truthfulness_exact(
-            params, model, traffic_specs, discount, joint_probs=joint_probs, tol=tol,
-            table=table,
+            params, model, traffic_specs, discount, joint_probs=joint_probs, tol=tol
         )
         if any(f.profitable for f in findings):
             continue
         revenue = verifier.stationary_sum_revenue(
-            params, model, traffic_specs, joint_probs=joint_probs, table=table
+            params, model, traffic_specs, joint_probs=joint_probs
         )
         if best is None or revenue > best.stationary_sum_revenue:
             best = TradeChoice(

@@ -119,19 +119,6 @@ class Trace:
             self.phase,
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return (
-            self.slot == other.slot
-            and self.operator == other.operator
-            and self.traffic == other.traffic
-            and self.width_mhz == other.width_mhz
-            and self.utility == other.utility
-            and self.balance_mhz == other.balance_mhz
-            and self.phase == other.phase
-        )
-
 
 @dataclass(frozen=True)
 class RevenueReport:

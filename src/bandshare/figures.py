@@ -16,6 +16,7 @@ from .dynamic_sharing import (
     NoCertifiedTradeSizeError,
     choose_trade_size,
     params_for_cap,
+    trade_candidates,
 )
 from .entry import max_entrants
 from .traffic import TrafficSpec, expectation, two_level
@@ -79,7 +80,6 @@ def scheme_comparison_rows(
     balance_cap_mhz: float = 50.0,
     traffic_specs=COMPARISON_TRAFFIC,
     discount: float = DISCOUNT,
-    grid_step_mhz: float = 1.0,
 ) -> list[ComparisonRow]:
     """Total two-operator revenue of the three schemes over a power sweep.
 
@@ -96,8 +96,7 @@ def scheme_comparison_rows(
         static = static_sharing_total(model, traffic_specs)
         try:
             choice = choose_trade_size(
-                2, model.band_mhz, balance_cap_mhz, model, traffic_specs,
-                discount, grid_step_mhz,
+                2, model.band_mhz, balance_cap_mhz, model, traffic_specs, discount
             )
             dynamic = choice.stationary_sum_revenue
         except (NoCertifiedTradeSizeError, HypothesisViolationError):
@@ -142,7 +141,6 @@ def balance_cap_rows(
     cap_grid_mhz,
     power_cap: float = CAP_SWEEP_POWER,
     traffic_specs=CAP_SWEEP_TRAFFIC,
-    grid_step_mhz: float = 1.0,
 ) -> list[CapSweepRow]:
     """Dynamic-over-full improvement for a sweep of balance caps.
 
@@ -159,11 +157,7 @@ def balance_cap_rows(
         if cap <= 0:
             raise ValueError("balance caps must be positive")
         best = None
-        steps = int(round(share / grid_step_mhz))
-        for m in range(1, steps + 1):
-            trade = m * grid_step_mhz
-            if trade > share or int(cap // trade) < 1:
-                continue
+        for trade in trade_candidates(share, cap):
             params = params_for_cap(2, model.band_mhz, trade, cap)
             revenue = stationary_sum_revenue(params, model, traffic_specs)
             if best is None or revenue > best[0]:

@@ -8,9 +8,10 @@ any reachable state; this module enumerates those comparisons exactly, and
 falls back to paired common-random-number Monte Carlo when the joint balance
 chain of many operators is too large to enumerate.
 
-Every exact check reads one `OutcomeTable` per params: the next balances
-and widths of every (joint balance state, report vector), filled by a
-single vectorised trading step.  Two operators are viewed one at a time
+Every exact check reads the one `OutcomeTable` of its params,
+`DynamicParams.outcomes`: the next balances and widths of every (joint
+balance state, report vector), filled by a single vectorised trading step
+the first time a check needs them.  Two operators are viewed one at a time
 through `BalanceChain`; more operators use the joint chain directly.
 
 Deviation findings use value conventions:
@@ -82,11 +83,11 @@ def two_op_joint_probs(traffic_specs, joint_probs=None) -> dict:
         total = sum(joint_probs.values())
         if abs(total - 1.0) > 1e-9 or any(p < 0 for p in joint_probs.values()):
             raise ValueError("joint probabilities must be a distribution")
-        return {
-            (l0, l1): float(joint_probs.get((l0, l1), 0.0))
-            for l0 in (0, 1)
-            for l1 in (0, 1)
-        }
+        pairs = [(l0, l1) for l0 in (0, 1) for l1 in (0, 1)]
+        stray = [key for key in joint_probs if key not in pairs]
+        if stray:
+            raise ValueError(f"joint traffic pairs outside {{0,1}}^2: {stray}")
+        return {pair: float(joint_probs.get(pair, 0.0)) for pair in pairs}
     p0, p1 = traffic_specs[0].p_high, traffic_specs[1].p_high
     return {
         (l0, l1): (p0 if l0 else 1 - p0) * (p1 if l1 else 1 - p1)
@@ -102,12 +103,12 @@ class OutcomeTable:
     Rows are the zero-sum balance vectors of `enumerate_balance_states`, in
     its lexicographic order (at n=2, row b+k holds (b, -b)).  Columns are the
     2**n report vectors in `itertools.product` order, operator 0's report
-    the most significant bit.  The outcomes depend on the params alone;
+    the most significant bit.  The outcomes depend on the params alone, and
+    `DynamicParams.outcomes` keeps the one table of its params;
     `utilities(model)` prices the distinct widths, one `model.pi` call per
     (width, level) pair and model for the table's lifetime.
     """
 
-    params: DynamicParams
     states: np.ndarray  # (S, n) balance units
     reports: np.ndarray  # (V, n) report vectors
     next_index: np.ndarray  # (S, V) row of the balances after the slot's trades
@@ -150,22 +151,12 @@ def outcome_table(params: DynamicParams) -> OutcomeTable:
     next_index = np.searchsorted(codes, (nxt + k) @ radix).reshape(s_count, v_count)
     distinct, width_id = np.unique(widths, return_inverse=True)
     return OutcomeTable(
-        params,
         states,
         reports,
         next_index,
         width_id.reshape(s_count, v_count, n),
         tuple(distinct.tolist()),
     )
-
-
-def _table_for(params: DynamicParams, table: OutcomeTable | None) -> OutcomeTable:
-    """The given outcome table, checked against `params`, or a new one."""
-    if table is None:
-        return outcome_table(params)
-    if table.params != params:
-        raise ValueError("the outcome table was built for other params")
-    return table
 
 
 @dataclass(frozen=True)
@@ -218,13 +209,14 @@ def build_balance_chain(
     traffic_specs,
     operator: int = 0,
     joint_probs=None,
-    table: OutcomeTable | None = None,
 ) -> BalanceChain:
     _require_pair(params)
+    if operator not in (0, 1):
+        raise ValueError("operator must be 0 or 1")
     joint = two_op_joint_probs(traffic_specs, joint_probs)
     if operator == 1:
         joint = {(l1, l0): p for (l0, l1), p in joint.items()}
-    table = _table_for(params, table)
+    table = params.outcomes
     columns = np.array([table.column(pair) for pair in joint])
     levels = np.array([own for own, _ in joint])
     next_index = table.next_index[:, columns]
@@ -287,15 +279,11 @@ def lying_gain(
     own, other = validate_reports(params, traffic_pair)
     if not -params.cap_units <= balance_units <= params.cap_units:
         raise ValueError("balance outside the ledger caps")
-    _, widths = _vector_policy_step(
-        np.array([[balance_units, -balance_units]] * 2),
-        np.array([[own, other], [1 - own, other]]),
-        params.cap_units,
-        params.share_mhz,
-        params.trade_mhz,
-    )
-    truth, lie = widths[:, 0].tolist()
-    return float(model.pi(lie, own) - model.pi(truth, own))
+    table = params.outcomes
+    col = table.column((own, other))  # col ^ 2 flips the own report
+    truth, lie = table.width_id[balance_units + params.cap_units, [col, col ^ 2], 0]
+    pi_own = table.utilities(model)[own]
+    return float(pi_own[lie] - pi_own[truth])
 
 
 def borrow_repay_margin_ok(model: UtilityModel, share_mhz: float, trade_mhz: float) -> bool:
@@ -358,7 +346,6 @@ def verify_truthfulness_exact(
     discount: float,
     joint_probs=None,
     tol: float = PROFIT_TOL,
-    table: OutcomeTable | None = None,
 ) -> list[DeviationFinding]:
     """Exact one-shot misreport check over every reachable state.
 
@@ -370,11 +357,11 @@ def verify_truthfulness_exact(
     """
     _require_pair(params)
     _gate_two_op(two_op_joint_probs(traffic_specs, joint_probs))
-    table = _table_for(params, table)
+    table = params.outcomes
     pi_tab = table.utilities(model)
     findings = []
     for op in (0, 1):
-        chain = build_balance_chain(params, model, traffic_specs, op, joint_probs, table)
+        chain = build_balance_chain(params, model, traffic_specs, op, joint_probs)
         values = np.asarray(value_function(chain, discount).values)
         lie = chain.columns ^ 2  # the own report flipped
         w_truth = table.width_id[:, chain.columns, 0]
@@ -394,7 +381,6 @@ def verify_detectable_exact(
     discount: float,
     joint_probs=None,
     tol: float = PROFIT_TOL,
-    table: OutcomeTable | None = None,
 ) -> list[DeviationFinding]:
     """Exact check that the punishment length deters support deviations.
 
@@ -407,14 +393,13 @@ def verify_detectable_exact(
     """
     _require_pair(params)
     two_op_joint_probs(traffic_specs, joint_probs)
-    table = _table_for(params, table)
     t_len = params.punishment_slots
     punish_factor = discount - discount ** (t_len + 1)
     u_full_of = [model.full_spectrum_utility(params.n, lam) for lam in (0, 1)]
     u_max_of = np.array([model.max_utility(lam) for lam in (0, 1)])
     findings = []
     for op in (0, 1):
-        chain = build_balance_chain(params, model, traffic_specs, op, joint_probs, table)
+        chain = build_balance_chain(params, model, traffic_specs, op, joint_probs)
         values = np.asarray(value_function(chain, discount).values)
         u_full = sum(p * u_full_of[own] for (own, _), p in chain.probs.items())
         v_next = values[chain.next_index]
@@ -445,17 +430,15 @@ def verify_dynamic_profile(
     fallback.
     """
     if params.n == 2:
-        table = outcome_table(params)
         return verify_truthfulness_exact(
-            params, model, traffic_specs, discount, joint_probs, tol, table
-        ) + verify_detectable_exact(params, model, traffic_specs, discount, joint_probs, tol, table)
+            params, model, traffic_specs, discount, joint_probs, tol
+        ) + verify_detectable_exact(params, model, traffic_specs, discount, joint_probs, tol)
     if joint_probs is not None:
         raise ValueError("a joint traffic law is supported for two operators only")
     _require_exact(params)
-    table = outcome_table(params)
     return verify_truthfulness_n_ops(
-        params, model, traffic_specs, discount, tol=tol, table=table
-    ) + verify_detectable_n_ops(params, model, traffic_specs, discount, tol=tol, table=table)
+        params, model, traffic_specs, discount, tol=tol
+    ) + verify_detectable_n_ops(params, model, traffic_specs, discount, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -491,6 +474,8 @@ def lying_loss_bound(
     if not 0.0 <= discount < 1.0:
         raise ValueError("discount must lie in [0, 1)")
     k = params.cap_units
+    if balance_units > k:
+        raise ValueError("balance outside the ledger caps")
     if balance_units - 1 < -k:
         raise ValueError("a lie cannot gain a quantum at the balance floor")
     w = params.share_mhz
@@ -620,12 +605,12 @@ def verify_static_profile(
     return findings
 
 
-def _sum_revenue_chain(params, model, traffic_specs, joint_probs, table):
+def _sum_revenue_chain(params, model, traffic_specs, joint_probs):
     """Transitions of operator 0's balance and the expected one-slot total
     utility of both operators, per balance state, under conformance."""
     _require_pair(params)
     joint = two_op_joint_probs(traffic_specs, joint_probs)
-    table = _table_for(params, table)
+    table = params.outcomes
     pi_tab = table.utilities(model)
     size = len(table.states)
     rows = np.arange(size)
@@ -646,10 +631,9 @@ def stationary_sum_revenue(
     model: UtilityModel,
     traffic_specs,
     joint_probs=None,
-    table: OutcomeTable | None = None,
 ) -> float:
     """Long-run per-slot total utility of both operators under conformance."""
-    trans, sums = _sum_revenue_chain(params, model, traffic_specs, joint_probs, table)
+    trans, sums = _sum_revenue_chain(params, model, traffic_specs, joint_probs)
     mu = stationary_distribution(trans, start_index=params.cap_units)
     return float(mu @ sums)
 
@@ -664,7 +648,7 @@ def discounted_sum_revenue(
     """Expected discounted total utility of both operators from zero balances."""
     if not 0.0 <= discount < 1.0:
         raise ValueError("discount must lie in [0, 1)")
-    trans, sums = _sum_revenue_chain(params, model, traffic_specs, joint_probs, None)
+    trans, sums = _sum_revenue_chain(params, model, traffic_specs, joint_probs)
     size = len(sums)
     values = np.linalg.solve(np.eye(size) - discount * trans, (1.0 - discount) * sums)
     return float(values[params.cap_units])
@@ -712,6 +696,8 @@ def mc_value_estimate(
     Returns (means, standard errors) indexed like the chain states.  The
     rollout uses the same counter-based generator as the simulator, keyed by
     (seed, state, replication, slot)."""
+    if replications < 2:
+        raise ValueError("a standard error needs at least two replications")
     if horizon is None:
         horizon = auto_horizon(discount)
     size = len(chain.rewards)
@@ -857,12 +843,11 @@ def _require_exact(params: DynamicParams):
         )
 
 
-def _joint_findings(table, levels, mask, gain, loss, tol, kind_of, noted, note):
+def _joint_findings(params, levels, mask, gain, loss, tol, kind_of, noted, note):
     """Findings for the masked (state, vector, operator) cells, in that order;
     `levels` holds the traffic vectors the middle axis runs over, and the
     cells flagged in `noted` carry `note`."""
-    delta = table.params.trade_mhz
-    balances = [tuple(row) for row in (table.states * delta).tolist()]
+    balances = [tuple(row) for row in (params.outcomes.states * params.trade_mhz).tolist()]
     vectors = [tuple(tv) for tv in levels.tolist()]
     findings = []
     for si, ti, op, g, l, flag in zip(
@@ -898,7 +883,6 @@ def verify_truthfulness_n_ops(
     mc_states: int = 12,
     mc_replications: int = 1000,
     mc_horizon: int | None = None,
-    table: OutcomeTable | None = None,
 ) -> list[DeviationFinding]:
     """One-shot misreport check for n operators on the joint balance chain.
 
@@ -913,7 +897,7 @@ def verify_truthfulness_n_ops(
     _check_n_op_inputs(params, traffic_specs, discount)
     _gate_n_op(traffic_specs)
     if count_balance_states(params.n, params.cap_units) <= exact_limit:
-        return _exact_n_op_findings(params, model, traffic_specs, discount, tol, table)
+        return _exact_n_op_findings(params, model, traffic_specs, discount, tol)
     return _mc_n_op_findings(
         params,
         model,
@@ -927,8 +911,8 @@ def verify_truthfulness_n_ops(
     )
 
 
-def _exact_n_op_findings(params, model, traffic_specs, discount, tol, table):
-    table = _table_for(params, table)
+def _exact_n_op_findings(params, model, traffic_specs, discount, tol):
+    table = params.outcomes
     pi_tab = table.utilities(model)
     values, columns, _, utilities = _n_op_values(table, model, traffic_specs, discount)
     ops = np.arange(params.n)
@@ -945,7 +929,7 @@ def _exact_n_op_findings(params, model, traffic_specs, discount, tol, table):
     double = (levels == 0) & (np.abs(swing - 2 * params.trade_mhz) < 1e-12)
     mask = (w_lie != w_truth) | (lie_next != truth_next)
     return _joint_findings(
-        table, levels, mask, gain, loss, tol, _lie_kind, double,
+        params, levels, mask, gain, loss, tol, _lie_kind, double,
         "borrow-instead-of-lend double swing",
     )
 
@@ -956,7 +940,6 @@ def verify_detectable_n_ops(
     traffic_specs,
     discount: float,
     tol: float = PROFIT_TOL,
-    table: OutcomeTable | None = None,
 ) -> list[DeviationFinding]:
     """Support-deviation check for n operators on the joint balance chain.
 
@@ -969,7 +952,7 @@ def verify_detectable_n_ops(
     """
     _check_n_op_inputs(params, traffic_specs, discount)
     _require_exact(params)
-    table = _table_for(params, table)
+    table = params.outcomes
     values, columns, probs, utilities = _n_op_values(table, model, traffic_specs, discount)
     levels = table.reports[columns]
     u_full_of = [model.full_spectrum_utility(params.n, lam) for lam in (0, 1)]
@@ -986,7 +969,7 @@ def verify_detectable_n_ops(
     loss = conform_future - deviate_future
     every = np.ones(gain.shape, dtype=bool)
     return _joint_findings(
-        table, levels, every, gain, loss, tol, lambda lam: "detectable", every,
+        params, levels, every, gain, loss, tol, lambda lam: "detectable", every,
         DETECTABLE_NOTE,
     )
 

@@ -10,6 +10,7 @@ views, both utility families and joint traffic laws with zero-probability
 pairs.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandshare import rng
+from bandshare import rng, verifier
 from bandshare.dynamic_sharing import (
     BalanceLedger,
     DynamicParams,
@@ -408,9 +409,8 @@ def test_table_matches_scalar_trading_rule(n, k, trade, seed):
 def test_chain_views_match_oracle(params, model, highs, joint, discount):
     specs = [two_level(p) for p in highs]
     k = params.cap_units
-    table = outcome_table(params)
     for op in (0, 1):
-        chain = build_balance_chain(params, model, specs, op, joint, table)
+        chain = build_balance_chain(params, model, specs, op, joint)
         probs, rewards, trans, _, next_of, util_of = oracle_chain(params, model, specs, op, joint)
         assert list(chain.probs.items()) == list(probs.items())
         same_array(chain.rewards, rewards)
@@ -427,20 +427,16 @@ def test_chain_views_match_oracle(params, model, highs, joint, discount):
        discount=DISCOUNTS)
 def test_pair_findings_match_oracle(params, model, highs, joint, discount):
     specs = [two_level(p) for p in highs]
-    table = outcome_table(params)
     for check, oracle in (
         (verify_truthfulness_exact, oracle_truthfulness),
         (verify_detectable_exact, oracle_detectable),
     ):
         want = outcome_of(lambda: oracle(params, model, specs, discount, joint))
-        for got in (
-            outcome_of(lambda: check(params, model, specs, discount, joint)),
-            outcome_of(lambda: check(params, model, specs, discount, joint, table=table)),
-        ):
-            if isinstance(want, type):
-                assert got is want
-            else:
-                same_findings(got, want)
+        got = outcome_of(lambda: check(params, model, specs, discount, joint))
+        if isinstance(want, type):
+            assert got is want
+        else:
+            same_findings(got, want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -448,10 +444,8 @@ def test_pair_findings_match_oracle(params, model, highs, joint, discount):
        discount=DISCOUNTS)
 def test_revenues_and_lying_gain_match_oracle(params, model, highs, joint, discount):
     specs = [two_level(p) for p in highs]
-    table = outcome_table(params)
-    got = stationary_sum_revenue(params, model, specs, joint, table=table)
+    got = stationary_sum_revenue(params, model, specs, joint)
     assert got.hex() == oracle_stationary(params, model, specs, joint).hex()
-    assert stationary_sum_revenue(params, model, specs, joint).hex() == got.hex()
     got = discounted_sum_revenue(params, model, specs, discount, joint)
     assert got.hex() == oracle_discounted(params, model, specs, discount, joint).hex()
     k = params.cap_units
@@ -490,8 +484,6 @@ def test_n_op_findings_match_oracle(nk, trade, model, highs, discount):
     specs = [two_level(p) for p in highs[:n]]
     want = oracle_n_op_findings(params, model, specs, discount)
     same_findings(verify_truthfulness_n_ops(params, model, specs, discount), want)
-    table = outcome_table(params)
-    same_findings(verify_truthfulness_n_ops(params, model, specs, discount, table=table), want)
 
 
 def canon(findings):
@@ -532,24 +524,24 @@ def test_n_op_profile_fails_up_front_above_the_exact_limit():
             verify_detectable_n_ops(params, model, specs, 0.99)
 
 
-def test_table_built_for_other_params_is_refused():
-    params = DynamicParams(2, W, trade_mhz=12.5, cap_units=4, punishment_slots=9)
+def test_outcome_table_built_once_per_params(monkeypatch):
+    builds = []
+
+    def counted(params):
+        builds.append(params)
+        return outcome_table(params)
+
+    monkeypatch.setattr(verifier, "outcome_table", counted)
     model = UtilityModel(W, 1000.0, family=CobbDouglasUtility())
-    specs = [two_level(0.25), two_level(0.5)]
-    other = outcome_table(DynamicParams(2, W, trade_mhz=10.0, cap_units=4, punishment_slots=9))
-    calls = [
-        lambda: build_balance_chain(params, model, specs, table=other),
-        lambda: verify_truthfulness_exact(params, model, specs, 0.99, table=other),
-        lambda: verify_detectable_exact(params, model, specs, 0.99, table=other),
-        lambda: stationary_sum_revenue(params, model, specs, table=other),
-    ]
+    two = DynamicParams(2, W, trade_mhz=12.5, cap_units=4, punishment_slots=9)
     three = DynamicParams(3, W, trade_mhz=12.5, cap_units=2, punishment_slots=9)
-    three_specs = [two_level(0.5)] * 3
-    other3 = outcome_table(DynamicParams(3, W, trade_mhz=12.5, cap_units=3, punishment_slots=9))
-    calls += [
-        lambda: verify_truthfulness_n_ops(three, model, three_specs, 0.99, table=other3),
-        lambda: verify_detectable_n_ops(three, model, three_specs, 0.99, table=other3),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="built for other params"):
-            call()
+    for params, specs in ((two, [two_level(0.25), two_level(0.5)]), (three, [two_level(0.5)] * 3)):
+        verify_dynamic_profile(params, model, specs, 0.99)
+        assert builds == [params]
+        verify_dynamic_profile(params, model, specs, 0.99)
+        assert builds == [params]
+        builds.clear()
+    wider = dataclasses.replace(two, cap_units=5)
+    assert wider.outcomes is not two.outcomes
+    assert builds == [wider]
+    assert len(wider.outcomes.states) == 11

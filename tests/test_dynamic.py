@@ -13,6 +13,7 @@ from bandshare.dynamic_sharing import (
     initial_dynamic_state,
     params_for_cap,
     tile_band,
+    trade_candidates,
     trading_policy,
     widths_after_trades,
 )
@@ -258,6 +259,21 @@ def test_choose_trade_size_reference_setup():
             best = (d, rev)
     assert best[0] == choice.trade_mhz
     assert best[1] == pytest.approx(choice.stationary_sum_revenue, rel=1e-12)
+
+
+@pytest.mark.parametrize("share", [100.0 / 3, 50.0, 12.5])
+@pytest.mark.parametrize("cap", [0.5, 1.0, 7.5, 50.0, 400.0])
+def test_trade_candidates_match_the_one_mhz_grid(share, cap):
+    # the candidate loop the trade chooser and the cap sweep each ran
+    grid = []
+    for m in range(1, int(round(share)) + 1):
+        d = m * 1.0
+        if d > share or int(cap // d) < 1:
+            continue
+        grid.append(d)
+    got = trade_candidates(share, cap)
+    assert got == grid
+    assert [type(d) for d in got] == [float] * len(grid)
 
 
 def test_choose_trade_size_linear_family_not_certifiable():

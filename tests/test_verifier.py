@@ -226,6 +226,40 @@ def test_loss_bound_rejects_floor_balance():
         lying_loss_bound(params, cd_model(), REF_SPECS, 0.9, -5)
 
 
+def test_joint_law_with_mass_outside_two_levels_is_refused():
+    params = DynamicParams(2, W, trade_mhz=10.0, cap_units=3)
+    joint = {(0, 0): 0.5, (0, 1): 0.125, (1, 1): 0.25, (2, 2): 0.125}
+    with pytest.raises(ValueError, match=r"outside \{0,1\}\^2: \[\(2, 2\)\]"):
+        stationary_sum_revenue(params, cd_model(), REF_SPECS, joint)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (
+            lambda: build_balance_chain(REF_PARAMS, REF_MODEL, REF_SPECS, operator=2),
+            "operator must be 0 or 1",
+        ),
+        (
+            lambda: lying_loss_bound(
+                params_for_cap(2, W, 10.0, 30.0), cd_model(), REF_SPECS, 0.9, 4
+            ),
+            "balance outside the ledger caps",
+        ),
+        (
+            lambda: mc_value_estimate(
+                build_balance_chain(REF_PARAMS, REF_MODEL, REF_SPECS), 0.9, replications=1, seed=3
+            ),
+            "at least two replications",
+        ),
+    ],
+    ids=["chain_operator", "loss_bound_balance", "mc_replications"],
+)
+def test_verifier_inputs_checked_up_front(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # --- punishment sizing ----------------------------------------------------------------
 
 
