@@ -1,17 +1,11 @@
 """Spectrum sharing among strategic operators: schemes, simulator, verifier."""
 
 from .dynamic_sharing import (
-    BalanceLedger,
     DynamicParams,
-    DynamicState,
     NoCertifiedTradeSizeError,
-    Trade,
     TradeChoice,
     choose_trade_size,
-    dynamic_step,
-    initial_dynamic_state,
     params_for_cap,
-    trading_policy,
 )
 from .engine import (
     DeviationInjector,

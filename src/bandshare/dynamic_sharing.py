@@ -5,11 +5,14 @@ rule pairs high reporters with low reporters: the i-th largest balance among
 eligible high reporters borrows one trade quantum from the i-th smallest
 balance among eligible low reporters.  Balances are capped, quantized to the
 trade size, and conserved (they sum to zero); there is no money anywhere.
+After the trades the band is re-tiled contiguously in operator order.
 
-Balances are stored in integer units of the trade quantum so ledger
-arithmetic is exact.  Support deviations are punished by the same trigger
-rule as static sharing (`static_sharing.TriggerState`); only the cooperation
-profile, re-tiled from each slot's trades, differs.
+Balances are counted in integer units of the trade quantum so ledger
+arithmetic is exact.  The rule is applied once per params, to every balance
+state and report vector, by `verifier.outcome_table` (`DynamicParams.outcomes`);
+the simulator and every exact check read that table.  Support deviations are
+punished by the same trigger rule as static sharing, with the ledger frozen
+while punishment lasts.
 """
 
 from __future__ import annotations
@@ -17,14 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .spectrum import SpectrumAllocation
-from .static_sharing import (
-    COOPERATION,
-    PUNISHMENT,
-    InfeasiblePunishmentError,
-    TriggerState,
-    punishment_left,
-)
+from .static_sharing import InfeasiblePunishmentError
 
 
 class NoCertifiedTradeSizeError(ValueError):
@@ -60,10 +56,18 @@ class DynamicParams:
     @cached_property
     def outcomes(self):
         """The verifier's `OutcomeTable` of these params, built on first use."""
-        # local import: the verifier builds on this module's trading rule
+        # local import: the verifier builds on this module
         from .verifier import outcome_table
 
         return outcome_table(self)
+
+    @cached_property
+    def lookups(self):
+        """The simulator's `engine.DynamicLookups` over `outcomes`, built on first use."""
+        # local import: the engine builds on this module
+        from .engine import DynamicLookups
+
+        return DynamicLookups(self)
 
 
 def params_for_cap(
@@ -82,27 +86,6 @@ def trade_candidates(share_mhz: float, balance_cap_mhz: float) -> list[float]:
     return [float(d) for d in range(1, int(share_mhz) + 1) if balance_cap_mhz // d >= 1]
 
 
-@dataclass(frozen=True)
-class Trade:
-    borrower: int
-    lender: int
-    amount_mhz: float
-
-
-@dataclass(frozen=True)
-class BalanceLedger:
-    """Net lent-minus-borrowed balance of each operator, in trade units."""
-
-    units: tuple[int, ...]
-
-    def mhz(self, params: DynamicParams) -> tuple[float, ...]:
-        return tuple(u * params.trade_mhz for u in self.units)
-
-    @staticmethod
-    def zeros(n: int) -> "BalanceLedger":
-        return BalanceLedger((0,) * n)
-
-
 def validate_reports(params: DynamicParams, reports) -> list[int]:
     if len(reports) != params.n:
         raise ValueError("need one report per operator")
@@ -112,97 +95,6 @@ def validate_reports(params: DynamicParams, reports) -> list[int]:
             raise ValueError("reports must be binary traffic levels")
         out.append(int(r))
     return out
-
-
-def trading_policy(params: DynamicParams, reports, ledger: BalanceLedger) -> list[Trade]:
-    """Pair eligible high reporters with eligible low reporters.
-
-    Borrow side: reported high and room to go one unit lower.  Lend side:
-    reported low and room to go one unit higher.  The i-th largest borrower
-    balance borrows from the i-th smallest lender balance; equal balances
-    are ordered by operator index.
-    """
-    reports = validate_reports(params, reports)
-    k = params.cap_units
-    borrowers = [
-        i for i in range(params.n) if reports[i] == 1 and ledger.units[i] - 1 >= -k
-    ]
-    lenders = [
-        i for i in range(params.n) if reports[i] == 0 and ledger.units[i] + 1 <= k
-    ]
-    borrowers.sort(key=lambda i: (-ledger.units[i], i))
-    lenders.sort(key=lambda i: (ledger.units[i], i))
-    return [
-        Trade(borrower=b, lender=l, amount_mhz=params.trade_mhz)
-        for b, l in zip(borrowers, lenders)
-    ]
-
-
-def apply_trades(ledger: BalanceLedger, trades) -> BalanceLedger:
-    units = list(ledger.units)
-    for t in trades:
-        units[t.borrower] -= 1
-        units[t.lender] += 1
-    return BalanceLedger(tuple(units))
-
-
-def widths_after_trades(params: DynamicParams, trades) -> list[float]:
-    widths = [params.share_mhz] * params.n
-    for t in trades:
-        widths[t.borrower] += params.trade_mhz
-        widths[t.lender] -= params.trade_mhz
-    return widths
-
-
-def tile_band(params: DynamicParams, widths) -> list[SpectrumAllocation]:
-    """Contiguous canonical tiling of the band in operator order."""
-    allocs = []
-    lo = 0.0
-    for i, width in enumerate(widths):
-        hi = params.band_mhz if i == params.n - 1 else lo + width
-        if width <= 0:
-            allocs.append(SpectrumAllocation.empty())
-        else:
-            allocs.append(SpectrumAllocation.block(lo, hi, params.band_mhz))
-        lo = lo + width
-    return allocs
-
-
-@dataclass(frozen=True)
-class DynamicState:
-    ledger: BalanceLedger
-    trigger: TriggerState = TriggerState()
-
-    def in_punishment(self) -> bool:
-        return self.trigger.in_punishment()
-
-
-def initial_dynamic_state(params: DynamicParams) -> DynamicState:
-    return DynamicState(BalanceLedger.zeros(params.n))
-
-
-def dynamic_step(
-    params: DynamicParams,
-    state: DynamicState,
-    reports,
-    observed_allocs=None,
-) -> tuple[DynamicState, list[SpectrumAllocation], list[Trade]]:
-    """Advance one slot.
-
-    A mismatch between the previous slot's observed supports and what that
-    slot prescribed sends everyone to full band for exactly
-    `punishment_slots` slots (this answering slot is the first); the ledger
-    is frozen throughout punishment.  Otherwise reports drive trades, trades
-    drive widths, and the band is re-tiled contiguously.
-    """
-    left = punishment_left(state.trigger, observed_allocs, params.punishment_slots)
-    if left is not None:
-        full = (SpectrumAllocation.full_band(params.band_mhz),) * params.n
-        return DynamicState(state.ledger, TriggerState(PUNISHMENT, left, full)), list(full), []
-    trades = trading_policy(params, reports, state.ledger)
-    allocs = tile_band(params, widths_after_trades(params, trades))
-    trigger = TriggerState(COOPERATION, 0, tuple(allocs))
-    return DynamicState(apply_trades(state.ledger, trades), trigger), allocs, trades
 
 
 def choose_trade_size(
@@ -224,7 +116,7 @@ def choose_trade_size(
     and a finite deterring punishment length exists.  Returns a TradeChoice.
     Two-operator scheme only.
     """
-    # local import: the verifier builds on this module's trading rule
+    # local import: the verifier builds on this module
     from . import verifier
 
     if n != 2:

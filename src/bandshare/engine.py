@@ -1,22 +1,37 @@
-"""Slot-by-slot simulation of the sharing schemes with revenue accounting.
+"""Simulation of the sharing schemes with revenue accounting.
 
 Traffic, scheme transitions and utilities are all deterministic functions of
 (seed, replication, operator, slot), so traces are byte-identical across
 runs and replication order.  Deviation experiments inject misreports (report
 manipulation, dynamic scheme only) or support overrides (any scheme); the
 scheme's own detection and punishment then run unmodified.
+
+Dynamic sharing runs on its params' outcome table (`DynamicParams.outcomes`)
+through one replication kernel: a replication walks its balance row through
+the table, the only sequential step, and prices and discounts every slot as
+arrays, batched over replications by `replicate`.  Full-spectrum,
+static and entry sharing advance slot by slot through the scheme's own step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import rng, traffic as traffic_mod
-from .dynamic_sharing import DynamicParams, dynamic_step, initial_dynamic_state
+from .dynamic_sharing import DynamicParams
 from .entry import EntryParams, entry_step, initial_entry_state
 from .spectrum import SpectrumAllocation
-from .static_sharing import PUNISHMENT, StaticParams, TriggerState, step as static_step
+from .static_sharing import (
+    COOPERATION,
+    PUNISHMENT,
+    StaticParams,
+    TriggerState,
+    step as static_step,
+)
 from .traffic import TrafficSpec
 from .utility import UtilityModel
 
@@ -58,6 +73,10 @@ class DeviationInjector:
 
     def active(self, slot: int) -> bool:
         return slot >= self.slot if self.persistent else slot == self.slot
+
+    def span(self) -> slice:
+        """The slots it acts in, as a slice of the horizon."""
+        return slice(self.slot, None if self.persistent else self.slot + 1)
 
     def is_lie(self) -> bool:
         return self.kind in (LIE_HIGH, LIE_LOW)
@@ -155,6 +174,18 @@ def _override_alloc(inj: DeviationInjector, model: UtilityModel) -> SpectrumAllo
     return SpectrumAllocation.block(0.0, inj.width_mhz, model.band_mhz)
 
 
+def _levels(scenario: Scenario, replication: int) -> np.ndarray:
+    """(n, H) traffic levels of one replication."""
+    seed = _rep_seed(scenario.seed, replication)
+    return np.array(
+        [
+            traffic_mod.sample_slots(spec, seed, i, scenario.horizon)
+            for i, spec in enumerate(scenario.traffic_specs)
+        ],
+        dtype=float,
+    )
+
+
 def run(scenario: Scenario, injectors=(), replication: int = 0, collect_trace: bool = True):
     """Simulate one replication; returns (Trace, RevenueReport).
 
@@ -163,21 +194,25 @@ def run(scenario: Scenario, injectors=(), replication: int = 0, collect_trace: b
     previous slot's emissions, and utilities accrue from what was actually
     transmitted."""
     _validate_injectors(scenario, injectors)
+    scheme = scenario.scheme
+    if isinstance(scheme, DynamicScheme):
+        kernel = _DynamicKernel(scenario, injectors)
+        slots = kernel.slots(replication)
+        utils = kernel.utilities(slots)
+        report = kernel.reports(utils[None])[0]
+        return (kernel.trace(slots, utils) if collect_trace else None), report
+
     model = scenario.model
     n = scenario.n
     d = scenario.discount
-    seed = _rep_seed(scenario.seed, replication)
-    levels = [
-        traffic_mod.sample_slots(spec, seed, i, scenario.horizon)
-        for i, spec in enumerate(scenario.traffic_specs)
-    ]
-    scheme = scenario.scheme
+    lams = _levels(scenario, replication).T.tolist()
     full = SpectrumAllocation.full_band(model.band_mhz)
+    # a handful of distinct (width, level) and (active, level) pairs recur
+    pi = functools.cache(model.pi)
+    full_utility = functools.cache(model.full_spectrum_utility)
 
     if isinstance(scheme, StaticScheme):
         state: object = TriggerState()
-    elif isinstance(scheme, DynamicScheme):
-        state = initial_dynamic_state(scheme.params)
     elif isinstance(scheme, EntryScheme):
         state = initial_entry_state(scheme.params)
     elif not isinstance(scheme, FullSpectrumScheme):
@@ -188,12 +223,9 @@ def run(scenario: Scenario, injectors=(), replication: int = 0, collect_trace: b
     weight = 1.0 - d
     u_max = 0.0
     observed: list[SpectrumAllocation] | None = None
-    width_injs = [inj for inj in injectors if not inj.is_lie()]
-    lie_injs = [inj for inj in injectors if inj.is_lie()]
 
     for t in range(scenario.horizon):
-        lam = [float(levels[i][t]) for i in range(n)]
-        balances = (0.0,) * n
+        lam = lams[t]
 
         if isinstance(scheme, FullSpectrumScheme):
             allocs = [full] * n
@@ -202,14 +234,6 @@ def run(scenario: Scenario, injectors=(), replication: int = 0, collect_trace: b
             state, profile = static_step(scheme.params, state, observed)
             allocs = list(profile)
             phase_label = state.phase
-        elif isinstance(scheme, DynamicScheme):
-            reports = [int(v) for v in lam]
-            for inj in lie_injs:
-                if inj.active(t):
-                    reports[inj.operator] = 1 if inj.kind == LIE_HIGH else 0
-            state, allocs, _ = dynamic_step(scheme.params, state, reports, observed)
-            phase_label = state.trigger.phase
-            balances = state.ledger.mhz(scheme.params)
         else:  # EntryScheme
             arrival = t in scheme.params.arrival_slots
             obs_active = observed[: state.active] if observed is not None else None
@@ -220,21 +244,21 @@ def run(scenario: Scenario, injectors=(), replication: int = 0, collect_trace: b
             phase_label = state.trigger.phase
 
         overridden = False
-        for inj in width_injs:
+        for inj in injectors:  # only support overrides: lies are dynamic-only
             if inj.active(t):
                 allocs[inj.operator] = _override_alloc(inj, model)
                 overridden = True
 
         if isinstance(scheme, FullSpectrumScheme) and not overridden:
-            utils = [model.full_spectrum_utility(n, lam[i]) for i in range(n)]
+            utils = [full_utility(n, lam[i]) for i in range(n)]
         elif phase_label == PUNISHMENT and not overridden:
             active = sum(1 for a in allocs if not a.is_empty())
             utils = [
-                model.full_spectrum_utility(active, lam[i]) if not allocs[i].is_empty() else 0.0
+                full_utility(active, lam[i]) if not allocs[i].is_empty() else 0.0
                 for i in range(n)
             ]
         elif not overridden:
-            utils = [model.pi(allocs[i].width, lam[i]) for i in range(n)]
+            utils = [pi(allocs[i].width, lam[i]) for i in range(n)]
         else:
             utils = [
                 model.utility(allocs[i], [a for j, a in enumerate(allocs) if j != i], lam[i])
@@ -252,7 +276,7 @@ def run(scenario: Scenario, injectors=(), replication: int = 0, collect_trace: b
                 trace.traffic.append(lam[i])
                 trace.width_mhz.append(allocs[i].width)
                 trace.utility.append(utils[i])
-                trace.balance_mhz.append(balances[i] if i < len(balances) else 0.0)
+                trace.balance_mhz.append(0.0)
                 trace.phase.append(phase_label)
 
         observed = allocs
@@ -266,6 +290,211 @@ def run(scenario: Scenario, injectors=(), replication: int = 0, collect_trace: b
         tail_bound=tail,
     )
     return trace, report
+
+
+class DynamicLookups:
+    """What the dynamic replication kernel reads besides the outcome table.
+
+    Built once per params, on first use (`DynamicParams.lookups`).  Every
+    table cell's widths are tiled onto the band in operator order with the
+    float operations of a scalar tiling: each left edge adds up the widths
+    before it and the last block ends at the band edge.  A tiled width
+    `hi - lo` can therefore differ from the table's raw `share +- trade`
+    width in the last bit, and the kernel prices the tiled widths, which
+    are what the operators transmit on.
+    """
+
+    def __init__(self, params: DynamicParams):
+        table = params.outcomes
+        raw = np.asarray(table.widths_mhz)[table.width_id]  # (S, V, n)
+        edges = np.cumsum(raw, axis=-1)  # left to right: each add rounds as a scalar loop's
+        lo = np.concatenate([np.zeros_like(edges[..., :1]), edges[..., :-1]], axis=-1)
+        edges[..., -1] = params.band_mhz
+        hi = np.where(raw > 0, edges, lo)  # an empty block has hi == lo
+        distinct, width_id = np.unique(hi - lo, return_inverse=True)
+        self.n = params.n
+        self.lo, self.hi = lo, hi
+        self.width_id = width_id.reshape(raw.shape)  # (S, V, n) index into widths_mhz
+        # an empty support's width is the integer 0, as `SpectrumAllocation.empty().width`
+        self.widths_mhz = tuple(w if w > 0 else 0 for w in distinct.tolist())
+        self.next_index = table.next_index
+        self.next_rows = table.next_index.tolist()
+        self.balances_mhz = table.states * params.trade_mhz
+        self.zero_row = int(np.flatnonzero(~table.states.any(axis=1))[0])
+        self._priced: dict = {}
+        self._overrides: dict = {}
+
+    def prices(self, model: UtilityModel) -> tuple[np.ndarray, np.ndarray]:
+        """(2, W) utility of each of `widths_mhz` at traffic levels 0 and 1, and
+        (2,) full-spectrum utility per level, computed once per model."""
+        if model not in self._priced:
+            levels = (0.0, 1.0)
+            self._priced[model] = (
+                np.array([[model.pi(w, lam) for w in self.widths_mhz] for lam in levels]),
+                np.array([model.full_spectrum_utility(self.n, lam) for lam in levels]),
+            )
+        return self._priced[model]
+
+    def override_utilities(self, model: UtilityModel, supports, levels) -> list[float]:
+        """Every operator's utility in a slot with overridden `supports`,
+        computed once per distinct (model, supports, levels)."""
+        key = (model, supports, levels)
+        if key not in self._overrides:
+            self._overrides[key] = [
+                model.utility(a, supports[:i] + supports[i + 1 :], lam)
+                for i, (a, lam) in enumerate(zip(supports, levels))
+            ]
+        return self._overrides[key]
+
+    def profile(self, row: int, col: int) -> tuple[SpectrumAllocation, ...]:
+        """Every operator's support in table cell (row, col)."""
+        return tuple(
+            SpectrumAllocation(((lo, hi),)) if hi > lo else SpectrumAllocation.empty()
+            for lo, hi in zip(self.lo[row, col].tolist(), self.hi[row, col].tolist())
+        )
+
+
+@dataclass(frozen=True)
+class _Slots:
+    """One dynamic replication walked through the outcome table."""
+
+    levels: np.ndarray  # (n, H) traffic levels
+    rows: np.ndarray  # (H,) balance row each slot starts in
+    cols: np.ndarray  # (H,) report column of each slot
+    punished: np.ndarray  # (H,) whether the slot punishes
+    observed: dict  # override slot -> every operator's support in that slot
+
+
+def _walk(next_rows, cols, row, window, checks, observe):
+    """Balance row each slot starts in, and which slots punish.
+
+    Cooperation slots advance the row through `next_rows`; punishment slots
+    hold it.  `checks` are the override slots, ascending; `observe(slot,
+    row, punished)` tells whether that slot's supports differ from what it
+    prescribed.  As in `static_sharing.punishment_left`, such a deviation
+    starts a `window`-slot punishment on the next slot, unless a window is
+    still running then.
+    """
+    horizon = len(cols)
+    rows: list[int] = []
+    punished = np.zeros(horizon, dtype=bool)
+    t = due = 0  # `due`: punishment slots still to come from slot t on
+    for s in [*checks, horizon]:
+        stop = min(s + 1, horizon)
+        held = min(due, stop - t)
+        rows += [row] * held
+        punished[t : t + held] = True
+        due -= held
+        for col in cols[t + held : stop]:
+            rows.append(row)
+            row = next_rows[row][col]
+        if s < horizon and observe(s, rows[s], punished[s]) and not due:
+            due = window
+        t = stop
+    return rows, punished
+
+
+class _DynamicKernel:
+    """Dynamic-sharing replications of one scenario under fixed injectors.
+
+    A replication draws its traffic, turns reports into outcome-table
+    columns, walks the balance row (the only sequential step), gathers
+    every (slot, operator) utility from the per-params price tables, and
+    discounts with sequential `cumprod`/`cumsum`, which round exactly as a
+    running `+=` does.  Only override slots build supports.
+    """
+
+    def __init__(self, scenario: Scenario, injectors):
+        params = scenario.scheme.params
+        n, horizon = scenario.n, scenario.horizon
+        self.scenario = scenario
+        self.lookups = params.lookups
+        self.pi_table, self.full_table = self.lookups.prices(scenario.model)
+        self.columns = 1 << np.arange(n - 1, -1, -1)  # operator 0's report is the top bit
+        self.lies = [inj for inj in injectors if inj.is_lie()]
+        width_injs = [inj for inj in injectors if not inj.is_lie()]
+        self.override_allocs = [_override_alloc(inj, scenario.model) for inj in width_injs]
+        owner = np.full((n, horizon), -1)  # the last injector active on (operator, slot) wins
+        for j, inj in enumerate(width_injs):
+            owner[inj.operator, inj.span()] = j
+        slots = np.flatnonzero((owner >= 0).any(axis=0))
+        self.owners = dict(zip(slots.tolist(), owner[:, slots].T.tolist()))
+        self.full_profile = (SpectrumAllocation.full_band(scenario.model.band_mhz),) * n
+        weights = np.full(horizon, scenario.discount)
+        weights[0] = 1.0 - scenario.discount
+        self.weights = np.cumprod(weights)
+
+    def slots(self, replication: int) -> _Slots:
+        lookups = self.lookups
+        levels = _levels(self.scenario, replication)
+        reports = levels.astype(np.int64)
+        for inj in self.lies:
+            reports[inj.operator, inj.span()] = inj.kind == LIE_HIGH
+        cols = self.columns @ reports
+        col_list = cols.tolist()  # the walk steps on Python ints
+        observed = {}
+
+        def observe(slot, row, punished):
+            prescribed = self.full_profile if punished else lookups.profile(row, col_list[slot])
+            seen = tuple(
+                a if j < 0 else self.override_allocs[j]
+                for a, j in zip(prescribed, self.owners[slot])
+            )
+            observed[slot] = seen
+            return seen != prescribed
+
+        rows, punished = _walk(
+            lookups.next_rows,
+            col_list,
+            lookups.zero_row,
+            self.scenario.scheme.params.punishment_slots,
+            self.owners,
+            observe,
+        )
+        return _Slots(levels, np.fromiter(rows, np.intp, len(rows)), cols, punished, observed)
+
+    def utilities(self, slots: _Slots) -> np.ndarray:
+        """(H, n) utility of every slot and operator."""
+        levels = slots.levels.T.astype(np.intp)
+        utils = self.pi_table[levels, self.lookups.width_id[slots.rows, slots.cols]]
+        utils[slots.punished] = self.full_table[levels[slots.punished]]
+        for slot, seen in slots.observed.items():
+            utils[slot] = self.lookups.override_utilities(
+                self.scenario.model, seen, tuple(slots.levels[:, slot].tolist())
+            )
+        return utils
+
+    def reports(self, utils: np.ndarray) -> list[RevenueReport]:
+        """Revenue reports of a (R, H, n) batch of replications' utilities."""
+        d, horizon = self.scenario.discount, self.scenario.horizon
+        revenues = np.cumsum(self.weights[:, None] * utils, axis=1)[:, -1]
+        return [
+            RevenueReport(tuple(rev), d, horizon, (d**horizon) * u_max if d > 0 else 0.0)
+            for rev, u_max in zip(revenues.tolist(), utils.max(axis=(1, 2)).tolist())
+        ]
+
+    def trace(self, slots: _Slots, utils: np.ndarray) -> Trace:
+        lookups = self.lookups
+        horizon, n = utils.shape
+        rows, cols, punished = slots.rows, slots.cols, slots.punished
+        after = np.where(punished, rows, lookups.next_index[rows, cols])
+        full = len(lookups.widths_mhz)  # index of the full band's width
+        width_of = lookups.widths_mhz + (self.full_profile[0].width,)
+        ids = np.where(punished[:, None], full, lookups.width_id[rows, cols])
+        widths = [width_of[w] for w in ids.ravel().tolist()]
+        for slot, seen in slots.observed.items():
+            widths[slot * n : (slot + 1) * n] = [a.width for a in seen]
+        return Trace(
+            slot=np.repeat(np.arange(horizon), n).tolist(),
+            operator=list(range(n)) * horizon,
+            traffic=slots.levels.T.ravel().tolist(),
+            width_mhz=widths,
+            utility=utils.ravel().tolist(),
+            balance_mhz=lookups.balances_mhz[after].ravel().tolist(),
+            phase=[
+                PUNISHMENT if p else COOPERATION for p in punished.tolist() for _ in range(n)
+            ],
+        )
 
 
 def revenue(trace: Trace, discount: float) -> RevenueReport:
@@ -312,18 +541,29 @@ def summarize(reports) -> ReplicationSummary:
     return ReplicationSummary(tuple(means), tuple(ses), reps)
 
 
+# (replication, slot, operator) utilities a dynamic batch holds at once
+_BATCH_CELLS = 1 << 18
+
+
 def replicate(scenario: Scenario, injectors=()) -> ReplicationSummary:
     """Mean and standard error of per-operator revenue across replications.
 
     Replication r draws its own traffic streams keyed by (seed, r); the
     aggregation is a plain mean, so the result does not depend on the order
-    replications are run in."""
-    return summarize(
-        [
-            run(scenario, injectors, replication=r, collect_trace=False)[1]
-            for r in range(scenario.replications)
-        ]
-    )
+    replications are run in.  Dynamic sharing runs the replications through
+    its kernel in batches of bounded size; the other schemes run each
+    through `run`."""
+    replications = range(scenario.replications)
+    if not isinstance(scenario.scheme, DynamicScheme):
+        return summarize([run(scenario, injectors, r, collect_trace=False)[1] for r in replications])
+    _validate_injectors(scenario, injectors)
+    kernel = _DynamicKernel(scenario, injectors)
+    size = max(1, _BATCH_CELLS // (scenario.horizon * scenario.n))
+    reports = []
+    for start in range(0, scenario.replications, size):
+        batch = replications[start : start + size]
+        reports += kernel.reports(np.stack([kernel.utilities(kernel.slots(r)) for r in batch]))
+    return summarize(reports)
 
 
 def auto_horizon(discount: float, tail: float = 1e-8) -> int:

@@ -8,10 +8,11 @@ the slot in which the deviation is first answered.  `step` advances the whole
 profile in O(n) per slot, against the block tiling that each `StaticParams`
 instance builds once and caches (`blocks`).
 
-The trigger rule is one state machine shared by all three schemes:
-`TriggerState` and `punishment_left` drive static `step`, entry
-(`entry.entry_step`) and dynamic sharing (`dynamic_sharing.dynamic_step`);
-only what each scheme prescribes in cooperation differs.
+The trigger rule is one state machine: `TriggerState` and `punishment_left`
+drive static `step` and entry (`entry.entry_step`).  Dynamic sharing follows
+the same rule inside the engine's replication kernel, which walks a whole
+replication over the outcome table (`engine._walk`); only what each scheme
+prescribes in cooperation differs.
 """
 
 from __future__ import annotations

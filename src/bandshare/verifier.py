@@ -892,9 +892,11 @@ def verify_truthfulness_n_ops(
     common random numbers, and a finding is profitable only when its 99%
     lower confidence bound clears the tolerance (the confidence margin is
     reported in the `loss` field, the paired standard error in
-    `estimate_se`).
+    `estimate_se`, so `mc_replications` must be at least 2).
     """
     _check_n_op_inputs(params, traffic_specs, discount)
+    if mc_replications < 2:
+        raise ValueError("a standard error needs at least two replications")
     _gate_n_op(traffic_specs)
     if count_balance_states(params.n, params.cap_units) <= exact_limit:
         return _exact_n_op_findings(params, model, traffic_specs, discount, tol)
@@ -975,11 +977,14 @@ def verify_detectable_n_ops(
 
 
 def _vector_policy_step(units, reports, k, share, trade):
-    """Vectorized trading step: units/reports are (R, n) arrays.
+    """The trading rule, vectorized: units/reports are (R, n) arrays.
 
-    Returns (next units, widths).  Mirrors trading_policy exactly: eligible
-    high reporters sorted by descending balance (index breaking ties) borrow
-    from eligible low reporters sorted ascending, one quantum each.
+    Returns (next units, widths).  Eligible high reporters sorted by
+    descending balance (index breaking ties) borrow from eligible low
+    reporters sorted ascending, one quantum each.  This is the rule's one
+    form: `outcome_table` applies it to every balance state and report
+    vector, for the simulator and every exact check, and the n-operator
+    Monte Carlo rollouts apply it slot by slot.
     """
     reps, n = units.shape
     idx = np.arange(n)

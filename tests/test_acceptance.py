@@ -11,13 +11,7 @@ import time
 
 import pytest
 
-from bandshare.dynamic_sharing import (
-    DynamicParams,
-    choose_trade_size,
-    dynamic_step,
-    initial_dynamic_state,
-    params_for_cap,
-)
+from bandshare.dynamic_sharing import DynamicParams, choose_trade_size, params_for_cap
 from bandshare.engine import (
     DeviationInjector,
     DynamicScheme,
@@ -48,6 +42,7 @@ from bandshare.verifier import (
     verify_detectable_exact,
     verify_truthfulness_exact,
 )
+from scalar_dynamic import dynamic_step, initial_dynamic_state
 
 W = 100.0
 DISCOUNT = 0.99

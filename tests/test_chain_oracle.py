@@ -19,13 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandshare import rng, verifier
-from bandshare.dynamic_sharing import (
-    BalanceLedger,
-    DynamicParams,
-    apply_trades,
-    trading_policy,
-    widths_after_trades,
-)
+from bandshare.dynamic_sharing import DynamicParams
 from bandshare.traffic import two_level
 from bandshare.utility import CobbDouglasUtility, LinearUtility, UtilityModel
 from bandshare.verifier import (
@@ -50,6 +44,7 @@ from bandshare.verifier import (
     verify_truthfulness_n_ops,
     _require_exact,
 )
+from scalar_dynamic import BalanceLedger, apply_trades, trading_policy, widths_after_trades
 
 W = 100.0
 PROFIT_TOL = 1e-9

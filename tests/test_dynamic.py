@@ -3,19 +3,11 @@ import random
 import pytest
 
 from bandshare.dynamic_sharing import (
-    BalanceLedger,
     DynamicParams,
-    DynamicState,
     NoCertifiedTradeSizeError,
-    Trade,
     choose_trade_size,
-    dynamic_step,
-    initial_dynamic_state,
     params_for_cap,
-    tile_band,
     trade_candidates,
-    trading_policy,
-    widths_after_trades,
 )
 from bandshare.spectrum import SpectrumAllocation
 from bandshare.traffic import two_level
@@ -23,6 +15,16 @@ from bandshare.utility import CobbDouglasUtility, LinearUtility, UtilityModel
 from bandshare.verifier import (
     HypothesisViolationError,
     stationary_sum_revenue,
+)
+from scalar_dynamic import (
+    BalanceLedger,
+    DynamicState,
+    Trade,
+    dynamic_step,
+    initial_dynamic_state,
+    tile_band,
+    trading_policy,
+    widths_after_trades,
 )
 
 W = 100.0

@@ -395,6 +395,17 @@ def test_monte_carlo_mode_reports_confidence():
     assert not any(f.profitable for f in findings)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_monte_carlo_mode_refuses_one_replication():
+    # one paired rollout has no standard error: refused before any rollout runs
+    params = DynamicParams(3, W, trade_mhz=10.0, cap_units=2)
+    with pytest.raises(ValueError, match="at least two replications"):
+        verify_truthfulness_n_ops(
+            params, cd_model(1000.0), [two_level(0.5)] * 3, 0.99,
+            exact_limit=1, mc_states=1, mc_replications=1,
+        )
+
+
 def test_n_op_hypothesis_gate():
     params = DynamicParams(3, W, trade_mhz=10.0, cap_units=1)
     with pytest.raises(HypothesisViolationError):
