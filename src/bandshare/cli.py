@@ -366,13 +366,13 @@ def _read_scenario_file(path: str) -> Scenario:
 def cmd_simulate(args) -> int:
     scenario = _read_scenario_file(args.scenario)
     scenario = _apply_overrides(scenario, args)
-    os.makedirs(args.out, exist_ok=True)
     trace, report = run(scenario)
     rest = [
         run(scenario, replication=r, collect_trace=False)[1]
         for r in range(1, scenario.replications)
     ]
     summary = summarize([report, *rest])
+    os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv")
     summary_path = os.path.join(args.out, "summary.csv")
     write_csv(trace_path, TRACE_HEADER, trace_rows(trace))

@@ -53,6 +53,15 @@ class DynamicParams:
     def balance_cap_mhz(self) -> float:
         return self.cap_units * self.trade_mhz
 
+    @property
+    def table_cells(self) -> int:
+        """(balance state, report vector, operator) cells of `outcomes`,
+        counted without building it."""
+        # local import: the verifier builds on this module
+        from .verifier import count_balance_states
+
+        return count_balance_states(self.n, self.cap_units) * 2**self.n * self.n
+
     @cached_property
     def outcomes(self):
         """The verifier's `OutcomeTable` of these params, built on first use."""

@@ -9,8 +9,9 @@ scheme's own detection and punishment then run unmodified.
 Dynamic sharing runs on its params' outcome table (`DynamicParams.outcomes`)
 through one replication kernel: a replication walks its balance row through
 the table, the only sequential step, and prices and discounts every slot as
-arrays, batched over replications by `replicate`.  Full-spectrum,
-static and entry sharing advance slot by slot through the scheme's own step.
+arrays.  Params whose table would exceed `TABLE_CELL_LIMIT` cells are
+refused up front.  Full-spectrum, static and entry sharing advance slot by
+slot through the scheme's own step.
 """
 
 from __future__ import annotations
@@ -199,8 +200,7 @@ def run(scenario: Scenario, injectors=(), replication: int = 0, collect_trace: b
         kernel = _DynamicKernel(scenario, injectors)
         slots = kernel.slots(replication)
         utils = kernel.utilities(slots)
-        report = kernel.reports(utils[None])[0]
-        return (kernel.trace(slots, utils) if collect_trace else None), report
+        return (kernel.trace(slots, utils) if collect_trace else None), kernel.report(utils)
 
     model = scenario.model
     n = scenario.n
@@ -292,65 +292,49 @@ def run(scenario: Scenario, injectors=(), replication: int = 0, collect_trace: b
     return trace, report
 
 
+def _tile(raw: np.ndarray, band_mhz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right edges of blocks of widths `raw` (..., n) tiled onto the
+    band in operator order with the float operations of a scalar tiling:
+    each left edge adds up the widths before it (`cumsum` adds left to
+    right), the last block ends at the band edge, and an empty block has
+    hi == lo."""
+    edges = np.cumsum(raw, axis=-1)
+    lo = np.concatenate([np.zeros_like(edges[..., :1]), edges[..., :-1]], axis=-1)
+    edges[..., -1] = band_mhz
+    return lo, np.where(raw > 0, edges, lo)
+
+
 class DynamicLookups:
     """What the dynamic replication kernel reads besides the outcome table.
 
     Built once per params, on first use (`DynamicParams.lookups`).  Every
-    table cell's widths are tiled onto the band in operator order with the
-    float operations of a scalar tiling: each left edge adds up the widths
-    before it and the last block ends at the band edge.  A tiled width
-    `hi - lo` can therefore differ from the table's raw `share +- trade`
-    width in the last bit, and the kernel prices the tiled widths, which
-    are what the operators transmit on.
+    table cell's widths are tiled onto the band (`_tile`).  A tiled width
+    `hi - lo` can differ from the table's raw `share +- trade` width in the
+    last bit, and the kernel prices the tiled widths, which are what the
+    operators transmit on.
     """
 
     def __init__(self, params: DynamicParams):
         table = params.outcomes
-        raw = np.asarray(table.widths_mhz)[table.width_id]  # (S, V, n)
-        edges = np.cumsum(raw, axis=-1)  # left to right: each add rounds as a scalar loop's
-        lo = np.concatenate([np.zeros_like(edges[..., :1]), edges[..., :-1]], axis=-1)
-        edges[..., -1] = params.band_mhz
-        hi = np.where(raw > 0, edges, lo)  # an empty block has hi == lo
+        self.band_mhz = params.band_mhz
+        self.raw_widths = np.asarray(table.widths_mhz)
+        self.raw_id = table.width_id
+        lo, hi = _tile(self.raw_widths[table.width_id], params.band_mhz)  # (S, V, n)
         distinct, width_id = np.unique(hi - lo, return_inverse=True)
-        self.n = params.n
-        self.lo, self.hi = lo, hi
-        self.width_id = width_id.reshape(raw.shape)  # (S, V, n) index into widths_mhz
+        self.width_id = width_id.reshape(lo.shape)  # (S, V, n) index into widths_mhz
         # an empty support's width is the integer 0, as `SpectrumAllocation.empty().width`
         self.widths_mhz = tuple(w if w > 0 else 0 for w in distinct.tolist())
         self.next_index = table.next_index
         self.next_rows = table.next_index.tolist()
         self.balances_mhz = table.states * params.trade_mhz
         self.zero_row = int(np.flatnonzero(~table.states.any(axis=1))[0])
-        self._priced: dict = {}
-        self._overrides: dict = {}
-
-    def prices(self, model: UtilityModel) -> tuple[np.ndarray, np.ndarray]:
-        """(2, W) utility of each of `widths_mhz` at traffic levels 0 and 1, and
-        (2,) full-spectrum utility per level, computed once per model."""
-        if model not in self._priced:
-            levels = (0.0, 1.0)
-            self._priced[model] = (
-                np.array([[model.pi(w, lam) for w in self.widths_mhz] for lam in levels]),
-                np.array([model.full_spectrum_utility(self.n, lam) for lam in levels]),
-            )
-        return self._priced[model]
-
-    def override_utilities(self, model: UtilityModel, supports, levels) -> list[float]:
-        """Every operator's utility in a slot with overridden `supports`,
-        computed once per distinct (model, supports, levels)."""
-        key = (model, supports, levels)
-        if key not in self._overrides:
-            self._overrides[key] = [
-                model.utility(a, supports[:i] + supports[i + 1 :], lam)
-                for i, (a, lam) in enumerate(zip(supports, levels))
-            ]
-        return self._overrides[key]
 
     def profile(self, row: int, col: int) -> tuple[SpectrumAllocation, ...]:
         """Every operator's support in table cell (row, col)."""
+        lo, hi = _tile(self.raw_widths[self.raw_id[row, col]], self.band_mhz)
         return tuple(
-            SpectrumAllocation(((lo, hi),)) if hi > lo else SpectrumAllocation.empty()
-            for lo, hi in zip(self.lo[row, col].tolist(), self.hi[row, col].tolist())
+            SpectrumAllocation(((a, b),)) if b > a else SpectrumAllocation.empty()
+            for a, b in zip(lo.tolist(), hi.tolist())
         )
 
 
@@ -394,6 +378,24 @@ def _walk(next_rows, cols, row, window, checks, observe):
     return rows, punished
 
 
+# (balance state, report vector, operator) cells of the largest outcome
+# table a dynamic simulation builds
+TABLE_CELL_LIMIT = 1_000_000
+
+
+def _require_table(params: DynamicParams):
+    """Refuse dynamic params whose outcome table exceeds TABLE_CELL_LIMIT,
+    before any of it is built."""
+    cells = params.table_cells
+    if cells > TABLE_CELL_LIMIT:
+        raise ValueError(
+            f"dynamic sharing of {params.n} operators with a balance cap of "
+            f"{params.cap_units} trade units has an outcome table of {cells} "
+            f"(balance state, report vector, operator) cells, above the "
+            f"simulation limit of {TABLE_CELL_LIMIT}"
+        )
+
+
 class _DynamicKernel:
     """Dynamic-sharing replications of one scenario under fixed injectors.
 
@@ -406,10 +408,15 @@ class _DynamicKernel:
 
     def __init__(self, scenario: Scenario, injectors):
         params = scenario.scheme.params
-        n, horizon = scenario.n, scenario.horizon
+        _require_table(params)
+        n, horizon, model = scenario.n, scenario.horizon, scenario.model
         self.scenario = scenario
         self.lookups = params.lookups
-        self.pi_table, self.full_table = self.lookups.prices(scenario.model)
+        # (2, W) utility of each tiled width, and (2,) full-spectrum utility, per level
+        levels, widths = (0.0, 1.0), self.lookups.widths_mhz
+        self.pi_table = np.array([[model.pi(w, lam) for w in widths] for lam in levels])
+        self.full_table = np.array([model.full_spectrum_utility(n, lam) for lam in levels])
+        self.overrides: dict = {}  # (supports, levels) -> every operator's utility
         self.columns = 1 << np.arange(n - 1, -1, -1)  # operator 0's report is the top bit
         self.lies = [inj for inj in injectors if inj.is_lie()]
         width_injs = [inj for inj in injectors if not inj.is_lie()]
@@ -458,20 +465,23 @@ class _DynamicKernel:
         levels = slots.levels.T.astype(np.intp)
         utils = self.pi_table[levels, self.lookups.width_id[slots.rows, slots.cols]]
         utils[slots.punished] = self.full_table[levels[slots.punished]]
+        model = self.scenario.model
         for slot, seen in slots.observed.items():
-            utils[slot] = self.lookups.override_utilities(
-                self.scenario.model, seen, tuple(slots.levels[:, slot].tolist())
-            )
+            key = (seen, tuple(slots.levels[:, slot].tolist()))
+            if key not in self.overrides:
+                self.overrides[key] = [
+                    model.utility(a, seen[:i] + seen[i + 1 :], lam)
+                    for i, (a, lam) in enumerate(zip(*key))
+                ]
+            utils[slot] = self.overrides[key]
         return utils
 
-    def reports(self, utils: np.ndarray) -> list[RevenueReport]:
-        """Revenue reports of a (R, H, n) batch of replications' utilities."""
+    def report(self, utils: np.ndarray) -> RevenueReport:
+        """Revenue report of one replication's (H, n) utilities."""
         d, horizon = self.scenario.discount, self.scenario.horizon
-        revenues = np.cumsum(self.weights[:, None] * utils, axis=1)[:, -1]
-        return [
-            RevenueReport(tuple(rev), d, horizon, (d**horizon) * u_max if d > 0 else 0.0)
-            for rev, u_max in zip(revenues.tolist(), utils.max(axis=(1, 2)).tolist())
-        ]
+        revenues = np.cumsum(self.weights[:, None] * utils, axis=0)[-1]
+        tail = (d**horizon) * float(utils.max()) if d > 0 else 0.0
+        return RevenueReport(tuple(revenues.tolist()), d, horizon, tail)
 
     def trace(self, slots: _Slots, utils: np.ndarray) -> Trace:
         lookups = self.lookups
@@ -541,29 +551,18 @@ def summarize(reports) -> ReplicationSummary:
     return ReplicationSummary(tuple(means), tuple(ses), reps)
 
 
-# (replication, slot, operator) utilities a dynamic batch holds at once
-_BATCH_CELLS = 1 << 18
-
-
 def replicate(scenario: Scenario, injectors=()) -> ReplicationSummary:
     """Mean and standard error of per-operator revenue across replications.
 
     Replication r draws its own traffic streams keyed by (seed, r); the
     aggregation is a plain mean, so the result does not depend on the order
-    replications are run in.  Dynamic sharing runs the replications through
-    its kernel in batches of bounded size; the other schemes run each
-    through `run`."""
-    replications = range(scenario.replications)
-    if not isinstance(scenario.scheme, DynamicScheme):
-        return summarize([run(scenario, injectors, r, collect_trace=False)[1] for r in replications])
-    _validate_injectors(scenario, injectors)
-    kernel = _DynamicKernel(scenario, injectors)
-    size = max(1, _BATCH_CELLS // (scenario.horizon * scenario.n))
-    reports = []
-    for start in range(0, scenario.replications, size):
-        batch = replications[start : start + size]
-        reports += kernel.reports(np.stack([kernel.utilities(kernel.slots(r)) for r in batch]))
-    return summarize(reports)
+    replications are run in."""
+    return summarize(
+        [
+            run(scenario, injectors, replication=r, collect_trace=False)[1]
+            for r in range(scenario.replications)
+        ]
+    )
 
 
 def auto_horizon(discount: float, tail: float = 1e-8) -> int:

@@ -727,15 +727,16 @@ def mc_value_estimate(
 
 
 def count_balance_states(n: int, k: int) -> int:
-    """Number of integer balance vectors in [-k, k]^n that sum to zero."""
-    counts = {0: 1}
-    for _ in range(n):
-        new: dict[int, int] = {}
-        for s, c in counts.items():
-            for v in range(-k, k + 1):
-                new[s + v] = new.get(s + v, 0) + c
-        counts = new
-    return counts.get(0, 0)
+    """Number of integer balance vectors in [-k, k]^n that sum to zero.
+
+    Shifted by k these are the ways to put nk units into n boxes of at most
+    2k each; inclusion-exclusion over the j boxes forced above 2k counts
+    them in O(n) steps."""
+    return sum(
+        (-1) ** j * math.comb(n, j) * math.comb(n * k - j * (2 * k + 1) + n - 1, n - 1)
+        for j in range(n + 1)
+        if j * (2 * k + 1) <= n * k
+    )
 
 
 def enumerate_balance_states(n: int, k: int) -> list[tuple[int, ...]]:
@@ -833,8 +834,8 @@ def _check_n_op_inputs(params, traffic_specs, discount):
 
 def _require_exact(params: DynamicParams):
     """Refuse an exact n-operator profile check larger than EXACT_CELL_LIMIT."""
-    count = count_balance_states(params.n, params.cap_units)
-    cells = count * 2**params.n * params.n
+    cells = params.table_cells
+    count = cells // (2**params.n * params.n)
     if cells > EXACT_CELL_LIMIT:
         raise ValueError(
             f"the joint balance chain has {count} states; with {2**params.n} "

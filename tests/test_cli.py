@@ -247,6 +247,20 @@ def test_verify_many_operators_fails_up_front_above_exact_limit(tmp_path, capsys
     assert not (tmp_path / "findings.csv").exists()
 
 
+def test_simulate_many_operators_fails_up_front_above_table_limit(tmp_path, capsys):
+    scn = tmp_path / "s.scn"
+    body = THREE_OP_DYNAMIC.format(cap=50).replace("scenario.n = 3", "scenario.n = 7")
+    body += "".join(f"traffic.op{i}.p_high = 0.5\n" for i in range(4, 8))
+    scn.write_text(body.replace("scheme.punishment_T = auto", "scheme.punishment_T = 50"))
+    out = tmp_path / "out"
+    assert main(["simulate", str(scn), "--out", str(out)]) == 2
+    # 908755 balance states x 128 report vectors x 7 operators
+    assert "table of 814244480 (balance state, report vector, operator) cells" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 def test_simulate_runs_each_replication_once(tmp_path, monkeypatch):
     from bandshare import cli
     from bandshare.cli import SUMMARY_HEADER, summary_rows

@@ -15,12 +15,10 @@ labelled punishment exactly when every support is the full band.
 
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from bandshare import engine
 from bandshare.dynamic_sharing import DynamicParams
 from bandshare.engine import (
     FULL_BAND,
@@ -275,22 +273,7 @@ def test_kernel_matches_scalar_oracle(data):
         assert hexed(report) == hexed(want_report)
         assert typed_rows(trace) == typed_rows(want_trace)
         assert run(scenario, injs, replication=r, collect_trace=False) == (None, report)
-    # batches of a few replications, so that most `replicate` calls run several
-    per_batch = data.draw(st.integers(1, 3))
-    batches = []
-    priced = engine._DynamicKernel.reports
-
-    def recorded(kernel, utils):
-        batches.append(priced(kernel, utils))
-        return batches[-1]
-
-    with mock.patch.object(engine, "_BATCH_CELLS", per_batch * n * horizon), mock.patch.object(
-        engine._DynamicKernel, "reports", recorded
-    ):
-        summary = replicate(scenario, injs)
-    assert len(batches) == -(-scenario.replications // per_batch)
-    assert [hexed(rep) for batch in batches for rep in batch] == [hexed(rep) for _, rep in want]
-    assert summary == summarize([rep for _, rep in want])
+    assert replicate(scenario, injs) == summarize([rep for _, rep in want])
 
 
 def fixed_scenario(params, highs, horizon=12):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from bandshare.dynamic_sharing import params_for_cap
+from bandshare.dynamic_sharing import DynamicParams, params_for_cap
 from bandshare.engine import (
     DeviationInjector,
     DynamicScheme,
@@ -342,3 +342,20 @@ def test_entry_revenue_covers_cost_only_up_to_market_size():
         revenues.append(value)
     mean = sum(revenues) / len(revenues)
     assert mean < cost
+
+
+@pytest.mark.parametrize(
+    "params, cells",
+    [
+        (DynamicParams(10, W, 10.0, cap_units=1), 91678720),
+        (DynamicParams(4, W, 1.0, cap_units=50), 43961664),
+    ],
+)
+def test_dynamic_fails_up_front_above_the_table_limit(params, cells):
+    scen = scenario(DynamicScheme(params), n=params.n, horizon=5, reps=2)
+    message = f"table of {cells} .* cells, above the simulation limit of 1000000"
+    with pytest.raises(ValueError, match=message):
+        run(scen)
+    with pytest.raises(ValueError, match=message):
+        replicate(scen)
+    assert "outcomes" not in vars(params)  # refused before building any of it
