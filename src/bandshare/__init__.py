@@ -65,6 +65,7 @@ from .verifier import (
     min_punishment_slots,
     outcome_table,
     stationary_sum_revenue,
+    truthful_exact,
     value_function,
     verify_detectable_n_ops,
     verify_dynamic_profile,

@@ -120,10 +120,18 @@ def choose_trade_size(
 
     Candidates are the `trade_candidates` of the share band/n; each is
     paired with the largest quantized cap fitting under `balance_cap_mhz`.
-    A candidate is certified when the borrow/repay margin test passes, the
-    exact one-shot-deviation check finds no profitable lie at `discount`,
-    and a finite deterring punishment length exists.  Returns a TradeChoice.
-    Two-operator scheme only.
+    A candidate is certified when the borrow/repay margin test passes, a
+    finite deterring punishment length exists, and the exact
+    one-shot-deviation check finds no profitable lie at `discount`.
+
+    The two cheap filters run first, over every candidate.  The survivors
+    are then ranked by stationary sum revenue, highest first and the
+    smaller trade size first among equals, and certified in that order;
+    the first that certifies is the answer, so the exact check runs only on
+    survivors ranked above it.  Raises HypothesisViolationError when some
+    candidate survives the filters but the traffic cannot move balances
+    both ways, and NoCertifiedTradeSizeError when no candidate certifies.
+    Returns a TradeChoice.  Two-operator scheme only.
     """
     # local import: the verifier builds on this module
     from . import verifier
@@ -131,7 +139,7 @@ def choose_trade_size(
     if n != 2:
         raise ValueError("trade size optimization is defined for two operators")
     w = band_mhz / n
-    best = None
+    ranked = []
     for d in trade_candidates(w, balance_cap_mhz):
         params = params_for_cap(n, band_mhz, d, balance_cap_mhz)
         if not verifier.borrow_repay_margin_ok(model, w, d):
@@ -140,26 +148,26 @@ def choose_trade_size(
             t_len = verifier.min_punishment_slots(params, model, traffic_specs)
         except InfeasiblePunishmentError:
             continue
-        findings = verifier.verify_truthfulness_exact(
-            params, model, traffic_specs, discount, joint_probs=joint_probs, tol=tol
-        )
-        if any(f.profitable for f in findings):
-            continue
+        if not ranked:  # the first survivor: the traffic gate applies
+            verifier.gate_two_op(verifier.two_op_joint_probs(traffic_specs, joint_probs))
         revenue = verifier.stationary_sum_revenue(
             params, model, traffic_specs, joint_probs=joint_probs
         )
-        if best is None or revenue > best.stationary_sum_revenue:
-            best = TradeChoice(
+        ranked.append((revenue, d, params, t_len))
+    ranked.sort(key=lambda entry: (-entry[0], entry[1]))
+    for revenue, d, params, t_len in ranked:
+        if verifier.truthful_exact(
+            params, model, traffic_specs, discount, joint_probs=joint_probs, tol=tol
+        ):
+            return TradeChoice(
                 trade_mhz=d,
                 cap_units=params.cap_units,
                 punishment_slots=t_len,
                 stationary_sum_revenue=revenue,
             )
-    if best is None:
-        raise NoCertifiedTradeSizeError(
-            "no candidate trade size was certified as an equilibrium"
-        )
-    return best
+    raise NoCertifiedTradeSizeError(
+        "no candidate trade size was certified as an equilibrium"
+    )
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ index into the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,15 @@ class TrafficSpec:
             raise ValueError("p_high is defined only for two-level traffic")
         return self.probs[1]
 
+    @cached_property
+    def _sampling_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cdf, levels) for `sample_slots`; the levels repeat the top level
+        once more for draws at or past the cdf's last step."""
+        cdf = np.cumsum(self.probs)
+        levels = np.array(self.levels + self.levels[-1:])
+        cdf.flags.writeable = levels.flags.writeable = False
+        return cdf, levels
+
     def mean(self) -> float:
         return sum(lv * p for lv, p in zip(self.levels, self.probs))
 
@@ -83,9 +93,8 @@ def sample(spec: TrafficSpec, seed: int, operator: int, slot: int) -> float:
 def sample_slots(spec: TrafficSpec, seed: int, operator: int, n_slots: int) -> np.ndarray:
     """Vectorized draws for slots 0..n_slots-1; matches sample() exactly."""
     u = rng.uniform01_array(seed, operator, counters=np.arange(n_slots))
-    cdf = np.cumsum(spec.probs)
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.asarray(spec.levels)[np.minimum(idx, len(spec.levels) - 1)]
+    cdf, levels = spec._sampling_tables
+    return levels[np.searchsorted(cdf, u, side="right")]
 
 
 def expectation(spec: TrafficSpec, g) -> float:

@@ -17,8 +17,12 @@ from .spectrum import SpectrumAllocation, partition_points
 LN2 = math.log(2.0)
 
 
+@dataclass(frozen=True)
 class ShannonRate:
-    """Usefulness per Hz r(g) = log2(1 + g)."""
+    """Usefulness per Hz r(g) = log2(1 + g).
+
+    A dataclass with no fields, so every instance is equal to (and hashes
+    like) every other: equal `UtilityModel`s built apart compare equal."""
 
     def __call__(self, gamma: float) -> float:
         if gamma < 0:

@@ -296,7 +296,9 @@ def borrow_repay_margin_ok(model: UtilityModel, share_mhz: float, trade_mhz: flo
     return give_up < get_back
 
 
-def _gate_two_op(joint: dict):
+def gate_two_op(joint: dict):
+    """Raise HypothesisViolationError unless each operator of the joint law
+    `joint` is the sole high-traffic reporter with positive probability."""
     if joint.get((1, 0), 0.0) <= 0.0 or joint.get((0, 1), 0.0) <= 0.0:
         raise HypothesisViolationError(
             "need both one-sided high-traffic events to have positive "
@@ -339,6 +341,24 @@ def _lie_kind(own: int) -> str:
     return "lie_high" if own == 0 else "lie_low"
 
 
+def _lie_margins(params, model, traffic_specs, discount, joint_probs, op):
+    """Operator `op`'s view with the gain and loss of lying once, per
+    (state, pair) cell, and the mask of cells where the lie changes the
+    width or the next balance.  Returns (chain, gain, loss, mask)."""
+    table = params.outcomes
+    chain = build_balance_chain(params, model, traffic_specs, op, joint_probs)
+    values = np.asarray(value_function(chain, discount).values)
+    lie = chain.columns ^ 2  # the own report flipped
+    w_truth = table.width_id[:, chain.columns, 0]
+    w_lie = table.width_id[:, lie, 0]
+    b_lie = table.next_index[:, lie]
+    pi_tab = table.utilities(model)
+    gain = (1 - discount) * (pi_tab[chain.own_levels, w_lie] - chain.utilities)
+    loss = discount * (values[chain.next_index] - values[b_lie])
+    mask = chain.positive & ((w_lie != w_truth) | (b_lie != chain.next_index))
+    return chain, gain, loss, mask
+
+
 def verify_truthfulness_exact(
     params: DynamicParams,
     model: UtilityModel,
@@ -356,22 +376,37 @@ def verify_truthfulness_exact(
     neither the width nor the next balance (caps bind) is not a finding.
     """
     _require_pair(params)
-    _gate_two_op(two_op_joint_probs(traffic_specs, joint_probs))
-    table = params.outcomes
-    pi_tab = table.utilities(model)
+    gate_two_op(two_op_joint_probs(traffic_specs, joint_probs))
     findings = []
     for op in (0, 1):
-        chain = build_balance_chain(params, model, traffic_specs, op, joint_probs)
-        values = np.asarray(value_function(chain, discount).values)
-        lie = chain.columns ^ 2  # the own report flipped
-        w_truth = table.width_id[:, chain.columns, 0]
-        w_lie = table.width_id[:, lie, 0]
-        b_lie = table.next_index[:, lie]
-        gain = (1 - discount) * (pi_tab[chain.own_levels, w_lie] - chain.utilities)
-        loss = discount * (values[chain.next_index] - values[b_lie])
-        mask = chain.positive & ((w_lie != w_truth) | (b_lie != chain.next_index))
+        chain, gain, loss, mask = _lie_margins(
+            params, model, traffic_specs, discount, joint_probs, op
+        )
         findings += _view_findings(op, chain, mask, gain, loss, tol, _lie_kind)
     return findings
+
+
+def truthful_exact(
+    params: DynamicParams,
+    model: UtilityModel,
+    traffic_specs,
+    discount: float,
+    joint_probs=None,
+    tol: float = PROFIT_TOL,
+) -> bool:
+    """The verdict of `verify_truthfulness_exact` without its findings:
+    True iff no misreport is profitable.  Stops at the first operator with a
+    profitable lie, so operator 1's view is built only when operator 0 has
+    none."""
+    _require_pair(params)
+    gate_two_op(two_op_joint_probs(traffic_specs, joint_probs))
+    for op in (0, 1):
+        _, gain, loss, mask = _lie_margins(
+            params, model, traffic_specs, discount, joint_probs, op
+        )
+        if np.any(mask & (gain > loss + tol)):
+            return False
+    return True
 
 
 def verify_detectable_exact(
@@ -470,7 +505,7 @@ def lying_loss_bound(
     until the un-absorbed mass is below `mass_tol`.
     """
     joint = two_op_joint_probs(traffic_specs, joint_probs)
-    _gate_two_op(joint)
+    gate_two_op(joint)
     if not 0.0 <= discount < 1.0:
         raise ValueError("discount must lie in [0, 1)")
     k = params.cap_units
@@ -740,25 +775,21 @@ def count_balance_states(n: int, k: int) -> int:
 
 
 def enumerate_balance_states(n: int, k: int) -> list[tuple[int, ...]]:
-    """All integer balance vectors in [-k, k]^n summing to zero."""
-    states: list[tuple[int, ...]] = []
-    vec = [0] * n
+    """All integer balance vectors in [-k, k]^n summing to zero, in
+    lexicographic order.
 
-    def rec(i: int, total: int):
-        tail = n - 1 - i
-        if tail == 0:
-            last = -total
-            if -k <= last <= k:
-                vec[i] = last
-                states.append(tuple(vec))
-            return
-        for v in range(-k, k + 1):
-            if abs(total + v) <= k * tail:
-                vec[i] = v
-                rec(i + 1, total + v)
-
-    rec(0, 0)
-    return states
+    Built one position at a time: each prefix is extended, in ascending
+    order, by every value that leaves a running total the remaining
+    positions can still cancel; the last entry is the negated total."""
+    states = [((), 0)]  # (prefix, its total)
+    for tail in range(n - 1, 0, -1):
+        bound = k * tail
+        states = [
+            (prefix + (v,), total + v)
+            for prefix, total in states
+            for v in range(max(-k, -bound - total), min(k, bound - total) + 1)
+        ]
+    return [prefix + (-total,) for prefix, total in states]
 
 
 def _gate_n_op(traffic_specs):

@@ -35,6 +35,7 @@ from bandshare.verifier import (
     outcome_table,
     stationary_distribution,
     stationary_sum_revenue,
+    truthful_exact,
     two_op_joint_probs,
     value_function,
     verify_detectable_exact,
@@ -297,6 +298,29 @@ def oracle_n_op_findings(params, model, specs, discount, tol=PROFIT_TOL):
     return findings
 
 
+def oracle_balance_states(n, k):
+    """The zero-sum balance vectors of [-k, k]^n in lexicographic order, by
+    recursion over positions."""
+    states = []
+    vec = [0] * n
+
+    def rec(i, total):
+        tail = n - 1 - i
+        if tail == 0:
+            last = -total
+            if -k <= last <= k:
+                vec[i] = last
+                states.append(tuple(vec))
+            return
+        for v in range(-k, k + 1):
+            if abs(total + v) <= k * tail:
+                vec[i] = v
+                rec(i + 1, total + v)
+
+    rec(0, 0)
+    return states
+
+
 # --- comparison helpers -------------------------------------------------------------
 
 
@@ -395,6 +419,22 @@ def test_table_matches_scalar_trading_rule(n, k, trade, seed):
             assert [w.hex() for w in got] == [w.hex() for w in widths]
 
 
+@pytest.mark.parametrize(
+    "n,k",
+    [
+        (n, k)
+        for n in range(2, 7)
+        for k in range(1, 7)
+        if count_balance_states(n, k) <= 50_000  # the recursion is slow beyond
+    ],
+)
+def test_balance_states_match_recursive_enumeration(n, k):
+    got = enumerate_balance_states(n, k)
+    assert got == oracle_balance_states(n, k)
+    assert len(got) == count_balance_states(n, k)
+    assert all(type(v) is int for v in got[0])
+
+
 # --- two-operator views -------------------------------------------------------------------
 
 
@@ -432,6 +472,21 @@ def test_pair_findings_match_oracle(params, model, highs, joint, discount):
             assert got is want
         else:
             same_findings(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=pair_params(), model=MODELS, highs=st.tuples(HIGHS, HIGHS), joint=joint_laws(),
+       discount=DISCOUNTS, tol=st.sampled_from([-1e-3, 0.0, PROFIT_TOL, 1e-4, 1e-2]))
+def test_truthful_verdict_matches_findings(params, model, highs, joint, discount, tol):
+    specs = [two_level(p) for p in highs]
+    want = outcome_of(
+        lambda: not any(
+            f.profitable
+            for f in verify_truthfulness_exact(params, model, specs, discount, joint, tol)
+        )
+    )
+    # the same verdict, or the same error
+    assert outcome_of(lambda: truthful_exact(params, model, specs, discount, joint, tol)) is want
 
 
 @settings(max_examples=40, deadline=None)

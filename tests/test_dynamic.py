@@ -2,20 +2,21 @@ import random
 
 import pytest
 
+from bandshare import verifier
 from bandshare.dynamic_sharing import (
     DynamicParams,
     NoCertifiedTradeSizeError,
+    TradeChoice,
     choose_trade_size,
     params_for_cap,
     trade_candidates,
 )
+from bandshare.figures import COMPARISON_TRAFFIC, comparison_model
 from bandshare.spectrum import SpectrumAllocation
+from bandshare.static_sharing import InfeasiblePunishmentError
 from bandshare.traffic import two_level
 from bandshare.utility import CobbDouglasUtility, LinearUtility, UtilityModel
-from bandshare.verifier import (
-    HypothesisViolationError,
-    stationary_sum_revenue,
-)
+from bandshare.verifier import HypothesisViolationError
 from scalar_dynamic import (
     BalanceLedger,
     DynamicState,
@@ -233,34 +234,78 @@ def test_three_state_chain_occupancy_matches_stationary_law():
 # --- trade size selection --------------------------------------------------------
 
 
+def exhaustive_choose_trade_size(
+    n, band_mhz, balance_cap_mhz, model, traffic_specs, discount, joint_probs=None, tol=1e-9
+):
+    """The trade chooser's oracle: every candidate that passes the margin test
+    and has a finite punishment length gets the full exact truthfulness
+    check, and the first certified candidate with the strictly highest
+    stationary revenue wins."""
+    w = band_mhz / n
+    best = None
+    for d in trade_candidates(w, balance_cap_mhz):
+        params = params_for_cap(n, band_mhz, d, balance_cap_mhz)
+        if not verifier.borrow_repay_margin_ok(model, w, d):
+            continue
+        try:
+            t_len = verifier.min_punishment_slots(params, model, traffic_specs)
+        except InfeasiblePunishmentError:
+            continue
+        findings = verifier.verify_truthfulness_exact(
+            params, model, traffic_specs, discount, joint_probs=joint_probs, tol=tol
+        )
+        if any(f.profitable for f in findings):
+            continue
+        revenue = verifier.stationary_sum_revenue(
+            params, model, traffic_specs, joint_probs=joint_probs
+        )
+        if best is None or revenue > best.stationary_sum_revenue:
+            best = TradeChoice(d, params.cap_units, t_len, revenue)
+    if best is None:
+        raise NoCertifiedTradeSizeError("no candidate trade size was certified")
+    return best
+
+
+def chooser_outcomes(*args, **kwargs):
+    """(chooser, oracle) results, or the types of the errors they raised."""
+    outcomes = []
+    for choose in (choose_trade_size, exhaustive_choose_trade_size):
+        try:
+            outcomes.append(choose(*args, **kwargs))
+        except (NoCertifiedTradeSizeError, HypothesisViolationError) as exc:
+            outcomes.append(type(exc))
+    return outcomes
+
+
 def test_choose_trade_size_reference_setup():
     model = UtilityModel(W, 1000.0, family=CobbDouglasUtility())
     specs = [two_level(0.25), two_level(0.5)]
     choice = choose_trade_size(2, W, 50.0, model, specs, 0.99)
     assert choice.trade_mhz == 39.0
     assert choice.cap_units == 1
-    # exhaustive oracle: no certified candidate does better
-    from bandshare.verifier import min_punishment_slots, verify_truthfulness_exact
-    from bandshare.static_sharing import InfeasiblePunishmentError
-    from bandshare.verifier import borrow_repay_margin_ok
+    assert choice == exhaustive_choose_trade_size(2, W, 50.0, model, specs, 0.99)
 
-    best = None
-    for m in range(1, 51):
-        d = float(m)
-        p = params_for_cap(2, W, d, 50.0)
-        if not borrow_repay_margin_ok(model, 50.0, d):
-            continue
-        try:
-            min_punishment_slots(p, model, specs)
-        except InfeasiblePunishmentError:
-            continue
-        if any(f.profitable for f in verify_truthfulness_exact(p, model, specs, 0.99)):
-            continue
-        rev = stationary_sum_revenue(p, model, specs)
-        if best is None or rev > best[1]:
-            best = (d, rev)
-    assert best[0] == choice.trade_mhz
-    assert best[1] == pytest.approx(choice.stationary_sum_revenue, rel=1e-12)
+
+@pytest.mark.parametrize(
+    "p_db,cap",
+    [(p_db, 50.0) for p_db in range(31)]  # the default fig3 grid
+    + [(30, cap) for cap in (1.0, 7.5, 400.0)],
+)
+def test_choose_trade_size_matches_exhaustive_search(p_db, cap):
+    model = comparison_model(10.0 ** (p_db / 10.0))
+    got, want = chooser_outcomes(2, W, cap, model, list(COMPARISON_TRAFFIC), 0.99)
+    assert got == want
+
+
+def test_choose_trade_size_matches_exhaustive_search_on_a_joint_law():
+    # no slot where both are high; both one-sided events stay possible
+    joint = {(0, 0): 0.5, (1, 0): 0.3, (0, 1): 0.2, (1, 1): 0.0}
+    model = comparison_model(1000.0)
+    got, want = chooser_outcomes(
+        2, W, 50.0, model, list(COMPARISON_TRAFFIC), 0.99, joint_probs=joint
+    )
+    assert isinstance(got, TradeChoice)
+    assert got == want
 
 
 @pytest.mark.parametrize("share", [100.0 / 3, 50.0, 12.5])
@@ -283,17 +328,27 @@ def test_choose_trade_size_linear_family_not_certifiable():
     # candidate gets a finite punishment length
     model = UtilityModel(W, 1000.0, family=LinearUtility())
     specs = [two_level(0.25), two_level(0.5)]
-    with pytest.raises(NoCertifiedTradeSizeError):
-        choose_trade_size(2, W, 50.0, model, specs, 0.99)
+    assert chooser_outcomes(2, W, 50.0, model, specs, 0.99) == [NoCertifiedTradeSizeError] * 2
 
 
-def test_choose_trade_size_degenerate_traffic_gate():
+def test_choose_trade_size_degenerate_traffic_gate(monkeypatch):
     # with no high-traffic slots balances can never move: the equilibrium
-    # hypothesis fails and the chooser refuses rather than certify
+    # hypothesis fails and the chooser refuses rather than certify, at the
+    # first candidate that passes the filters, before pricing any
+    def unpriced(*args, **kwargs):
+        raise AssertionError("revenue priced before the traffic gate")
+
+    monkeypatch.setattr(verifier, "stationary_sum_revenue", unpriced)
     model = UtilityModel(W, 1000.0, family=CobbDouglasUtility())
     specs = [two_level(0.0), two_level(0.0)]
-    with pytest.raises(HypothesisViolationError):
-        choose_trade_size(2, W, 50.0, model, specs, 0.99)
+    assert chooser_outcomes(2, W, 50.0, model, specs, 0.99) == [HypothesisViolationError] * 2
+
+
+def test_choose_trade_size_degenerate_traffic_without_survivors():
+    # no candidate passes the filters, so the traffic gate is never reached
+    model = UtilityModel(W, 1000.0, family=LinearUtility())
+    specs = [two_level(0.0), two_level(0.0)]
+    assert chooser_outcomes(2, W, 50.0, model, specs, 0.99) == [NoCertifiedTradeSizeError] * 2
 
 
 def test_trade_count_equals_smaller_eligible_side():

@@ -139,6 +139,19 @@ def test_margin_small_trade_for_concave_supermodular_family():
     assert borrow_repay_margin_ok(model, 50.0, 0.5)
 
 
+# --- outcome table pricing ---------------------------------------------------------
+
+
+def test_equal_models_share_one_priced_table():
+    # models built apart but equal must not each add a priced table
+    table = DynamicParams(2, W, trade_mhz=12.5, cap_units=4).outcomes
+    first = table.utilities(UtilityModel(W, 1000.0)).copy()
+    for _ in range(1000):
+        got = table.utilities(UtilityModel(W, 1000.0))
+    assert len(table._priced) == 1
+    assert got.tobytes() == first.tobytes()
+
+
 # --- exact truthfulness check ------------------------------------------------------
 
 
