@@ -236,9 +236,10 @@ def oracle_mc_values(params, model, specs, discount, replications, seed, horizon
     return means, ses
 
 
-def oracle_n_op_findings(params, model, specs, discount, tol=PROFIT_TOL):
+def oracle_joint_chain(params, model, specs, discount):
+    """The joint chain's states with the row of each, its positive-probability
+    traffic vectors with their probabilities, and every operator's values."""
     n = params.n
-    delta = params.trade_mhz
     states = enumerate_balance_states(n, params.cap_units)
     index = {s: i for i, s in enumerate(states)}
     vectors, probs = [], []
@@ -263,6 +264,13 @@ def oracle_n_op_findings(params, model, specs, discount, tol=PROFIT_TOL):
     for ti in range(len(vectors)):
         np.add.at(trans, (np.arange(size), next_idx[:, ti]), p_arr[ti])
     values = np.linalg.solve(np.eye(size) - discount * trans, (1.0 - discount) * rewards)
+    return states, index, vectors, probs, values
+
+
+def oracle_n_op_findings(params, model, specs, discount, tol=PROFIT_TOL):
+    n = params.n
+    delta = params.trade_mhz
+    states, index, vectors, _, values = oracle_joint_chain(params, model, specs, discount)
     findings = []
     for si, units in enumerate(states):
         for tv in vectors:
@@ -293,6 +301,40 @@ def oracle_n_op_findings(params, model, specs, discount, tol=PROFIT_TOL):
                         loss=loss,
                         profitable=gain > loss + tol,
                         note=note,
+                    )
+                )
+    return findings
+
+
+def oracle_n_op_detectable(params, model, specs, discount, tol=PROFIT_TOL):
+    n = params.n
+    t_len = params.punishment_slots
+    states, index, vectors, probs, values = oracle_joint_chain(params, model, specs, discount)
+    u_full = [
+        sum(p * model.full_spectrum_utility(n, tv[op]) for p, tv in zip(probs, vectors))
+        for op in range(n)
+    ]
+    punish_factor = discount - discount ** (t_len + 1)
+    findings = []
+    for units in states:
+        for tv in vectors:
+            widths, nxt = scalar_outcome(params, units, tv)
+            for op in range(n):
+                v_next = values[index[nxt], op]
+                conform_future = discount * v_next
+                deviate_future = punish_factor * u_full[op] + discount ** (t_len + 1) * v_next
+                gain = (1 - discount) * (model.max_utility(tv[op]) - model.pi(widths[op], tv[op]))
+                loss = float(conform_future - deviate_future)
+                findings.append(
+                    DeviationFinding(
+                        operator=op,
+                        balances_mhz=tuple(u * params.trade_mhz for u in units),
+                        traffic=tv,
+                        kind="detectable",
+                        gain=gain,
+                        loss=loss,
+                        profitable=gain > loss + tol,
+                        note="deviation slot priced at the exclusive-band bound",
                     )
                 )
     return findings
@@ -534,6 +576,23 @@ def test_n_op_findings_match_oracle(nk, trade, model, highs, discount):
     specs = [two_level(p) for p in highs[:n]]
     want = oracle_n_op_findings(params, model, specs, discount)
     same_findings(verify_truthfulness_n_ops(params, model, specs, discount), want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    nk=st.sampled_from([(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]),
+    trade=st.sampled_from([2.0, 5.0, 12.5]),
+    t_len=st.integers(1, 40),
+    model=MODELS,
+    highs=st.lists(HIGHS, min_size=4, max_size=4),
+    discount=DISCOUNTS,
+)
+def test_n_op_detectable_matches_oracle(nk, trade, t_len, model, highs, discount):
+    n, k = nk
+    params = DynamicParams(n, W, trade_mhz=trade, cap_units=k, punishment_slots=t_len)
+    specs = [two_level(p) for p in highs[:n]]
+    want = oracle_n_op_detectable(params, model, specs, discount)
+    same_findings(verify_detectable_n_ops(params, model, specs, discount), want)
 
 
 def canon(findings):
