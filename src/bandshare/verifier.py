@@ -4,15 +4,22 @@ The whole memory of the conforming system is the balance vector, so expected
 discounted revenue is a function of balance alone and solves a small linear
 fixed point exactly.  A profile is subgame perfect iff no single-slot
 deviation (a misreport, or occupying the wrong support) beats conformance in
-any reachable state; this module enumerates those comparisons exactly, and
-falls back to paired common-random-number Monte Carlo when the joint balance
-chain of many operators is too large to enumerate.
+any reachable state; this module enumerates those comparisons exactly.
+`verify_truthfulness_n_ops` estimates misreports by paired
+common-random-number Monte Carlo instead when the joint chain has more
+states than its `exact_limit`.  `verify_dynamic_profile`, and so
+`bandshare verify`, refuses every joint chain above `EXACT_CELL_LIMIT`
+cells, far fewer states than the default `exact_limit`, so only direct
+calls of `verify_truthfulness_n_ops` reach Monte Carlo.
 
 Every exact check reads the one `OutcomeTable` of its params,
 `DynamicParams.outcomes`: the next balances and widths of every (joint
 balance state, report vector), filled by a single vectorised trading step
 the first time a check needs them.  Two operators are viewed one at a time
-through `BalanceChain`; more operators use the joint chain directly.
+through `BalanceChain`; more operators use the joint chain directly.  Both
+price their deviations with the same margins (`_lie_margins`,
+`_detectable_margins`), a view as the table's operator 0, and every direct
+value solve checks its residual against `RESIDUAL_TOL`.
 
 Deviation findings use value conventions:
   gain  - one-slot advantage of the deviation, (1-d) normalized
@@ -183,16 +190,9 @@ class BalanceChain:
         return self.params.cap_units
 
     @property
-    def own_levels(self) -> np.ndarray:
-        return np.array([own for own, _ in self.probs])
-
-    @property
     def positive(self) -> np.ndarray:
         """Which `probs` pairs have positive probability."""
         return np.array([p > 0.0 for p in self.probs.values()])
-
-    def state_index(self, b_units: int) -> int:
-        return b_units + self.k
 
     def balances_mhz(self) -> list[float]:
         return [b * self.params.trade_mhz for b in range(-self.k, self.k + 1)]
@@ -221,14 +221,40 @@ def build_balance_chain(
     levels = np.array([own for own, _ in joint])
     next_index = table.next_index[:, columns]
     utilities = table.utilities(model)[levels, table.width_id[:, columns, 0]]
-    size = len(table.states)
-    rows = np.arange(size)
-    rewards = np.zeros(size)
-    trans = np.zeros((size, size))
-    for j, p in enumerate(joint.values()):
-        rewards += p * utilities[:, j]
-        trans[rows, next_index[:, j]] += p
+    probs = list(joint.values())
+    rewards = sum(p * utilities[:, j] for j, p in enumerate(probs))
+    trans = _transitions(next_index, probs)
     return BalanceChain(params, joint, rewards, trans, columns, next_index, utilities)
+
+
+def _transitions(next_index: np.ndarray, probs) -> np.ndarray:
+    """Row-stochastic kernel of a chain whose state s moves to
+    `next_index[s, j]` with probability `probs[j]`."""
+    size = len(next_index)
+    rows = np.arange(size)
+    trans = np.zeros((size, size))
+    for j, p in enumerate(probs):
+        trans[rows, next_index[:, j]] += p
+    return trans
+
+
+def _solve(trans: np.ndarray, rewards: np.ndarray, discount: float):
+    """Solve V = (1-d) R + d P V directly for one or more reward columns.
+
+    Returns (values, residual), the residual being the largest absolute
+    error of the solved system; raises ArithmeticError when it exceeds
+    `RESIDUAL_TOL` relative to the largest scaled reward.  The system is
+    strictly diagonally dominant for d < 1.
+    """
+    if not 0.0 <= discount < 1.0:
+        raise ValueError("discount must lie in [0, 1)")
+    a = np.eye(len(trans)) - discount * trans
+    rhs = (1.0 - discount) * rewards
+    values = np.linalg.solve(a, rhs)
+    residual = float(np.max(np.abs(a @ values - rhs)))
+    if residual > RESIDUAL_TOL * max(1.0, float(np.max(np.abs(rhs)))):
+        raise ArithmeticError(f"value solve residual {residual} too large")
+    return values, residual
 
 
 @dataclass(frozen=True)
@@ -237,25 +263,11 @@ class ValueTable:
     values: tuple[float, ...]
     residual: float
 
-    def value_at(self, index: int) -> float:
-        return self.values[index]
-
 
 def value_function(chain: BalanceChain, discount: float) -> ValueTable:
-    """Expected discounted revenue under conformance, (1-d) normalized.
-
-    Solves V = (1-d) R + d P V directly; the system is small (2k+1 states)
-    and strictly diagonally dominant for d < 1.
-    """
-    if not 0.0 <= discount < 1.0:
-        raise ValueError("discount must lie in [0, 1)")
-    size = len(chain.rewards)
-    a = np.eye(size) - discount * chain.transitions
-    rhs = (1.0 - discount) * chain.rewards
-    values = np.linalg.solve(a, rhs)
-    residual = float(np.max(np.abs(a @ values - rhs)))
-    if residual > RESIDUAL_TOL * max(1.0, float(np.max(np.abs(rhs)))):
-        raise ArithmeticError(f"value solve residual {residual} too large")
+    """Expected discounted revenue under conformance, (1-d) normalized,
+    solved directly over the 2k+1 balance states."""
+    values, residual = _solve(chain.transitions, chain.rewards, discount)
     return ValueTable(
         balances_mhz=tuple(chain.balances_mhz()),
         values=tuple(float(v) for v in values),
@@ -306,32 +318,36 @@ def gate_two_op(joint: dict):
         )
 
 
-def _view_findings(op, chain, mask, gain, loss, tol, kind_of, note=""):
-    """Findings of one operator's view for the masked (state, pair) cells,
-    in state-then-pair order."""
-    delta = chain.params.trade_mhz
-    k = chain.k
-    balances = [
-        (b * delta, -b * delta) if op == 0 else (-b * delta, b * delta)
-        for b in range(-k, k + 1)
-    ]
-    traffic = [pair if op == 0 else pair[::-1] for pair in chain.probs]
-    kinds = [kind_of(own) for own, _ in chain.probs]
-    rows, cols = np.nonzero(mask)
+def _findings(params, columns, ops, order, mask, gain, loss, tol, kind_of, note="", noted=None):
+    """Findings for the masked (state, report column, operator) cells, in
+    that order.  `ops` are the table operators the last axis prices and
+    `order` lists the table operators in label order, so a view reports its
+    operator's balance and traffic in that operator's place.  The cells
+    flagged in `noted` (every cell when None) carry `note`."""
+    table = params.outcomes
+    balances = [tuple(row) for row in (table.states[:, order] * params.trade_mhz).tolist()]
+    reports = table.reports[columns]
+    vectors = [tuple(tv) for tv in reports[:, order].tolist()]
+    levels = reports[:, ops].tolist()
+    labels = np.argsort(order)[ops].tolist()
+    flags = mask if noted is None else noted
     findings = []
-    for i, j, g, l in zip(
-        rows.tolist(), cols.tolist(), gain[rows, cols].tolist(), loss[rows, cols].tolist()
+    for si, vi, oi, g, l, flag in zip(
+        *(idx.tolist() for idx in np.nonzero(mask)),
+        gain[mask].tolist(),
+        loss[mask].tolist(),
+        flags[mask].tolist(),
     ):
         findings.append(
             DeviationFinding(
-                operator=op,
-                balances_mhz=balances[i],
-                traffic=traffic[j],
-                kind=kinds[j],
+                operator=labels[oi],
+                balances_mhz=balances[si],
+                traffic=vectors[vi],
+                kind=kind_of(levels[vi][oi]),
                 gain=g,
                 loss=l,
                 profitable=g > l + tol,
-                note=note,
+                note=note if flag else "",
             )
         )
     return findings
@@ -341,22 +357,62 @@ def _lie_kind(own: int) -> str:
     return "lie_high" if own == 0 else "lie_low"
 
 
-def _lie_margins(params, model, traffic_specs, discount, joint_probs, op):
-    """Operator `op`'s view with the gain and loss of lying once, per
-    (state, pair) cell, and the mask of cells where the lie changes the
-    width or the next balance.  Returns (chain, gain, loss, mask)."""
+def _lie_margins(params, model, values, columns, ops, discount):
+    """Gain and loss of each operator in `ops` misreporting once, per (state,
+    report column, operator) cell; `values` holds one value column per
+    operator of `ops`.  Also returns the mask of cells where the lie changes
+    the operator's width or the next balances, and the cells where it swings
+    the width by two quanta (borrowing instead of lending)."""
     table = params.outcomes
-    chain = build_balance_chain(params, model, traffic_specs, op, joint_probs)
-    values = np.asarray(value_function(chain, discount).values)
-    lie = chain.columns ^ 2  # the own report flipped
-    w_truth = table.width_id[:, chain.columns, 0]
-    w_lie = table.width_id[:, lie, 0]
-    b_lie = table.next_index[:, lie]
+    ops = np.asarray(ops)
+    levels = table.reports[columns][:, ops]
+    lie = columns[:, None] ^ (1 << (params.n - 1 - ops))  # each operator's report flipped
+    truth_next = table.next_index[:, columns, None]
+    lie_next = table.next_index[:, lie]
+    w_truth = table.width_id[:, columns[:, None], ops]
+    w_lie = table.width_id[:, lie, ops]
     pi_tab = table.utilities(model)
-    gain = (1 - discount) * (pi_tab[chain.own_levels, w_lie] - chain.utilities)
-    loss = discount * (values[chain.next_index] - values[b_lie])
-    mask = chain.positive & ((w_lie != w_truth) | (b_lie != chain.next_index))
-    return chain, gain, loss, mask
+    gain = (1 - discount) * (pi_tab[levels, w_lie] - pi_tab[levels, w_truth])
+    own = np.arange(len(ops))
+    loss = discount * (values[truth_next, own] - values[lie_next, own])
+    mask = (w_lie != w_truth) | (lie_next != truth_next)
+    widths = np.array(table.widths_mhz)
+    swing = widths[w_lie] - widths[w_truth]
+    double = (levels == 0) & (np.abs(swing - 2 * params.trade_mhz) < 1e-12)
+    return gain, loss, mask, double
+
+
+def _detectable_margins(params, model, values, columns, probs, ops, discount):
+    """Gain and loss of each operator in `ops` deviating from its support
+    once, per (state, report column, operator) cell; `probs` are the
+    probabilities of `columns` and `values` holds one value column per
+    operator of `ops`."""
+    table = params.outcomes
+    ops = np.asarray(ops)
+    levels = table.reports[columns][:, ops]
+    u_full_of = [model.full_spectrum_utility(params.n, lam) for lam in (0, 1)]
+    u_max_of = np.array([model.max_utility(lam) for lam in (0, 1)])
+    u_full = np.array(
+        [sum(p * u_full_of[lam] for p, lam in zip(probs, col)) for col in levels.T.tolist()]
+    )
+    t_len = params.punishment_slots
+    punish_factor = discount - discount ** (t_len + 1)
+    v_next = values[table.next_index[:, columns]]
+    conform_future = discount * v_next
+    deviate_future = punish_factor * u_full + discount ** (t_len + 1) * v_next
+    utilities = table.utilities(model)[levels, table.width_id[:, columns[:, None], ops]]
+    gain = (1 - discount) * (u_max_of[levels] - utilities)
+    loss = conform_future - deviate_future
+    return gain, loss
+
+
+def _view(params, model, traffic_specs, discount, joint_probs, op):
+    """Operator `op`'s view: its values as one column, and the table columns
+    and probabilities of its positive-probability traffic pairs."""
+    chain = build_balance_chain(params, model, traffic_specs, op, joint_probs)
+    values = np.asarray(value_function(chain, discount).values)[:, None]
+    probs = [p for p in chain.probs.values() if p > 0.0]
+    return values, chain.columns[chain.positive], probs
 
 
 def verify_truthfulness_exact(
@@ -379,10 +435,9 @@ def verify_truthfulness_exact(
     gate_two_op(two_op_joint_probs(traffic_specs, joint_probs))
     findings = []
     for op in (0, 1):
-        chain, gain, loss, mask = _lie_margins(
-            params, model, traffic_specs, discount, joint_probs, op
-        )
-        findings += _view_findings(op, chain, mask, gain, loss, tol, _lie_kind)
+        values, columns, _ = _view(params, model, traffic_specs, discount, joint_probs, op)
+        gain, loss, mask, _ = _lie_margins(params, model, values, columns, [0], discount)
+        findings += _findings(params, columns, [0], [op, 1 - op], mask, gain, loss, tol, _lie_kind)
     return findings
 
 
@@ -401,9 +456,8 @@ def truthful_exact(
     _require_pair(params)
     gate_two_op(two_op_joint_probs(traffic_specs, joint_probs))
     for op in (0, 1):
-        _, gain, loss, mask = _lie_margins(
-            params, model, traffic_specs, discount, joint_probs, op
-        )
+        values, columns, _ = _view(params, model, traffic_specs, discount, joint_probs, op)
+        gain, loss, mask, _ = _lie_margins(params, model, values, columns, [0], discount)
         if np.any(mask & (gain > loss + tol)):
             return False
     return True
@@ -426,25 +480,14 @@ def verify_detectable_exact(
     else on the full band, the full band is the single-slot best response,
     and deviating in the final punishment slot only restarts punishment.
     """
-    _require_pair(params)
-    two_op_joint_probs(traffic_specs, joint_probs)
-    t_len = params.punishment_slots
-    punish_factor = discount - discount ** (t_len + 1)
-    u_full_of = [model.full_spectrum_utility(params.n, lam) for lam in (0, 1)]
-    u_max_of = np.array([model.max_utility(lam) for lam in (0, 1)])
     findings = []
     for op in (0, 1):
-        chain = build_balance_chain(params, model, traffic_specs, op, joint_probs)
-        values = np.asarray(value_function(chain, discount).values)
-        u_full = sum(p * u_full_of[own] for (own, _), p in chain.probs.items())
-        v_next = values[chain.next_index]
-        conform_future = discount * v_next
-        deviate_future = punish_factor * u_full + discount ** (t_len + 1) * v_next
-        gain = (1 - discount) * (u_max_of[chain.own_levels] - chain.utilities)
-        loss = conform_future - deviate_future
-        mask = np.broadcast_to(chain.positive, gain.shape)
-        findings += _view_findings(
-            op, chain, mask, gain, loss, tol, lambda own: "detectable", DETECTABLE_NOTE
+        values, columns, probs = _view(params, model, traffic_specs, discount, joint_probs, op)
+        gain, loss = _detectable_margins(params, model, values, columns, probs, [0], discount)
+        every = np.ones(gain.shape, dtype=bool)
+        findings += _findings(
+            params, columns, [0], [op, 1 - op], every, gain, loss, tol,
+            lambda lam: "detectable", DETECTABLE_NOTE,
         )
     return findings
 
@@ -645,20 +688,13 @@ def _sum_revenue_chain(params, model, traffic_specs, joint_probs):
     utility of both operators, per balance state, under conformance."""
     _require_pair(params)
     joint = two_op_joint_probs(traffic_specs, joint_probs)
+    pairs = [pair for pair, p in joint.items() if p > 0]
+    probs = [joint[pair] for pair in pairs]
     table = params.outcomes
-    pi_tab = table.utilities(model)
-    size = len(table.states)
-    rows = np.arange(size)
-    trans = np.zeros((size, size))
-    sums = np.zeros(size)
-    for (l0, l1), p in joint.items():
-        if p <= 0:
-            continue
-        col = table.column((l0, l1))
-        trans[rows, table.next_index[:, col]] += p
-        widths = table.width_id[:, col]
-        sums += p * (pi_tab[l0, widths[:, 0]] + pi_tab[l1, widths[:, 1]])
-    return trans, sums
+    columns = np.array([table.column(pair) for pair in pairs])
+    utilities = table.utilities(model)[table.reports[columns], table.width_id[:, columns]]
+    sums = sum(p * (utilities[:, j, 0] + utilities[:, j, 1]) for j, p in enumerate(probs))
+    return _transitions(table.next_index[:, columns], probs), sums
 
 
 def stationary_sum_revenue(
@@ -681,11 +717,8 @@ def discounted_sum_revenue(
     joint_probs=None,
 ) -> float:
     """Expected discounted total utility of both operators from zero balances."""
-    if not 0.0 <= discount < 1.0:
-        raise ValueError("discount must lie in [0, 1)")
     trans, sums = _sum_revenue_chain(params, model, traffic_specs, joint_probs)
-    size = len(sums)
-    values = np.linalg.solve(np.eye(size) - discount * trans, (1.0 - discount) * sums)
+    values, _ = _solve(trans, sums, discount)
     return float(values[params.cap_units])
 
 
@@ -820,26 +853,20 @@ def _traffic_vectors(traffic_specs):
 def _n_op_values(table, model, traffic_specs, discount):
     """Per-operator value tables over the joint balance states.
 
-    Returns (values, columns, probs, utilities): the table columns and
-    probabilities of the positive-probability traffic vectors, and every
-    operator's one-slot conforming utility per (state, vector, operator).
+    Returns (values, columns, probs): one value column per operator, and the
+    table columns and probabilities of the positive-probability traffic
+    vectors.  Up to 2000 states the values are solved directly.
     """
     vectors, probs = _traffic_vectors(traffic_specs)
     columns = np.array([table.column(tv) for tv in vectors])
     levels = table.reports[columns]
     utilities = table.utilities(model)[levels, table.width_id[:, columns, :]]
     next_idx = table.next_index[:, columns]
-    size, n = table.states.shape
-    rewards = np.zeros((size, n))
-    for ti, p in enumerate(probs):
-        rewards += p * utilities[:, ti, :]
+    size = len(table.states)
+    rewards = sum(p * utilities[:, ti, :] for ti, p in enumerate(probs))
     p_arr = np.asarray(probs)
     if size <= 2000:
-        trans = np.zeros((size, size))
-        for ti in range(len(probs)):
-            np.add.at(trans, (np.arange(size), next_idx[:, ti]), p_arr[ti])
-        a = np.eye(size) - discount * trans
-        values = np.linalg.solve(a, (1.0 - discount) * rewards)
+        values, _ = _solve(_transitions(next_idx, probs), rewards, discount)
     else:
         values = (1.0 - discount) * rewards.copy()
         scale = max(1.0, float(np.max(np.abs(rewards))))
@@ -852,7 +879,7 @@ def _n_op_values(table, model, traffic_specs, discount):
                 values = new
                 break
             values = new
-    return values, columns, probs, utilities
+    return values, columns, probs
 
 
 def _check_n_op_inputs(params, traffic_specs, discount):
@@ -873,35 +900,6 @@ def _require_exact(params: DynamicParams):
             f"report vectors and {params.n} operators that is {cells} cells, "
             f"above the exact verification limit of {EXACT_CELL_LIMIT}"
         )
-
-
-def _joint_findings(params, levels, mask, gain, loss, tol, kind_of, noted, note):
-    """Findings for the masked (state, vector, operator) cells, in that order;
-    `levels` holds the traffic vectors the middle axis runs over, and the
-    cells flagged in `noted` carry `note`."""
-    balances = [tuple(row) for row in (params.outcomes.states * params.trade_mhz).tolist()]
-    vectors = [tuple(tv) for tv in levels.tolist()]
-    findings = []
-    for si, ti, op, g, l, flag in zip(
-        *(idx.tolist() for idx in np.nonzero(mask)),
-        gain[mask].tolist(),
-        loss[mask].tolist(),
-        noted[mask].tolist(),
-    ):
-        tv = vectors[ti]
-        findings.append(
-            DeviationFinding(
-                operator=op,
-                balances_mhz=balances[si],
-                traffic=tv,
-                kind=kind_of(tv[op]),
-                gain=g,
-                loss=l,
-                profitable=g > l + tol,
-                note=note if flag else "",
-            )
-        )
-    return findings
 
 
 def verify_truthfulness_n_ops(
@@ -946,25 +944,12 @@ def verify_truthfulness_n_ops(
 
 
 def _exact_n_op_findings(params, model, traffic_specs, discount, tol):
-    table = params.outcomes
-    pi_tab = table.utilities(model)
-    values, columns, _, utilities = _n_op_values(table, model, traffic_specs, discount)
+    values, columns, _ = _n_op_values(params.outcomes, model, traffic_specs, discount)
     ops = np.arange(params.n)
-    levels = table.reports[columns]  # (vectors, n)
-    lie = columns[:, None] ^ (1 << (params.n - 1 - ops))  # each operator's report flipped
-    truth_next = table.next_index[:, columns, None]
-    lie_next = table.next_index[:, lie]
-    w_truth = table.width_id[:, columns, :]
-    w_lie = table.width_id[:, lie, ops]
-    gain = (1 - discount) * (pi_tab[levels, w_lie] - utilities)
-    loss = discount * (values[truth_next, ops] - values[lie_next, ops])
-    widths = np.array(table.widths_mhz)
-    swing = widths[w_lie] - widths[w_truth]
-    double = (levels == 0) & (np.abs(swing - 2 * params.trade_mhz) < 1e-12)
-    mask = (w_lie != w_truth) | (lie_next != truth_next)
-    return _joint_findings(
-        params, levels, mask, gain, loss, tol, _lie_kind, double,
-        "borrow-instead-of-lend double swing",
+    gain, loss, mask, double = _lie_margins(params, model, values, columns, ops, discount)
+    return _findings(
+        params, columns, ops, ops, mask, gain, loss, tol, _lie_kind,
+        "borrow-instead-of-lend double swing", double,
     )
 
 
@@ -986,24 +971,12 @@ def verify_detectable_n_ops(
     """
     _check_n_op_inputs(params, traffic_specs, discount)
     _require_exact(params)
-    table = params.outcomes
-    values, columns, probs, utilities = _n_op_values(table, model, traffic_specs, discount)
-    levels = table.reports[columns]
-    u_full_of = [model.full_spectrum_utility(params.n, lam) for lam in (0, 1)]
-    u_max_of = np.array([model.max_utility(lam) for lam in (0, 1)])
-    u_full = np.array(
-        [sum(p * u_full_of[lam] for p, lam in zip(probs, col)) for col in levels.T.tolist()]
-    )
-    t_len = params.punishment_slots
-    punish_factor = discount - discount ** (t_len + 1)
-    v_next = values[table.next_index[:, columns]]
-    conform_future = discount * v_next
-    deviate_future = punish_factor * u_full + discount ** (t_len + 1) * v_next
-    gain = (1 - discount) * (u_max_of[levels] - utilities)
-    loss = conform_future - deviate_future
+    values, columns, probs = _n_op_values(params.outcomes, model, traffic_specs, discount)
+    ops = np.arange(params.n)
+    gain, loss = _detectable_margins(params, model, values, columns, probs, ops, discount)
     every = np.ones(gain.shape, dtype=bool)
-    return _joint_findings(
-        params, levels, every, gain, loss, tol, lambda lam: "detectable", every,
+    return _findings(
+        params, columns, ops, ops, every, gain, loss, tol, lambda lam: "detectable",
         DETECTABLE_NOTE,
     )
 

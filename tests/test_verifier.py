@@ -6,12 +6,13 @@ import pytest
 from bandshare.dynamic_sharing import DynamicParams, params_for_cap
 from bandshare.static_sharing import InfeasiblePunishmentError, StaticParams
 from bandshare.traffic import two_level
-from bandshare.utility import CobbDouglasUtility, LinearUtility, UtilityModel
+from bandshare.utility import CobbDouglasUtility, LinearUtility, TabulatedRate, UtilityModel
 from bandshare.verifier import (
     HypothesisViolationError,
     borrow_repay_margin_ok,
     build_balance_chain,
     count_balance_states,
+    discounted_sum_revenue,
     enumerate_balance_states,
     lying_gain,
     lying_loss_bound,
@@ -20,6 +21,7 @@ from bandshare.verifier import (
     stationary_sum_revenue,
     value_function,
     verify_detectable_exact,
+    verify_detectable_n_ops,
     verify_dynamic_profile,
     verify_static_profile,
     verify_truthfulness_exact,
@@ -88,6 +90,29 @@ def test_value_rejects_bad_discount():
         value_function(chain, 1.0)
 
 
+THREE_PARAMS = DynamicParams(3, W, trade_mhz=5.0, cap_units=2, punishment_slots=40)
+THREE_SPECS = [two_level(0.25), two_level(0.5), two_level(0.5)]
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: value_function(build_balance_chain(REF_PARAMS, REF_MODEL, REF_SPECS), 0.99),
+        lambda: verify_detectable_exact(REF_PARAMS, REF_MODEL, REF_SPECS, 0.99),
+        lambda: discounted_sum_revenue(REF_PARAMS, REF_MODEL, REF_SPECS, 0.99),
+        lambda: verify_truthfulness_n_ops(THREE_PARAMS, REF_MODEL, THREE_SPECS, 0.99),
+        lambda: verify_detectable_n_ops(THREE_PARAMS, REF_MODEL, THREE_SPECS, 0.99),
+    ],
+    ids=["value_function", "pair_view", "discounted_revenue", "joint_lie", "joint_detectable"],
+)
+def test_every_direct_solve_checks_its_residual(solve, monkeypatch):
+    solve()  # passes with the exact solver
+    exact = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: exact(a, b) + 1e-3)
+    with pytest.raises(ArithmeticError, match="residual"):
+        solve()
+
+
 # --- one-slot lying gain ---------------------------------------------------------
 
 
@@ -150,6 +175,16 @@ def test_equal_models_share_one_priced_table():
         got = table.utilities(UtilityModel(W, 1000.0))
     assert len(table._priced) == 1
     assert got.tobytes() == first.tobytes()
+
+
+def test_equal_tabulated_rate_models_share_one_priced_table():
+    table = DynamicParams(2, W, trade_mhz=12.5, cap_units=4).outcomes
+    knots = [(0, 0), (1000, 10)]
+    for _ in range(1000):
+        table.utilities(UtilityModel(W, 1000.0, rate_fn=TabulatedRate(knots)))
+    assert len(table._priced) == 1
+    table.utilities(UtilityModel(W, 1000.0, rate_fn=TabulatedRate([(0, 0), (1000, 11)])))
+    assert len(table._priced) == 2
 
 
 # --- exact truthfulness check ------------------------------------------------------
