@@ -201,7 +201,12 @@ def parse_scenario(text: str) -> Scenario:
     if scheme_kind == "full":
         scheme = FullSpectrumScheme()
     elif scheme_kind == "static":
-        t_len = _punishment_length(reader, model, traffic_specs, n)
+        t_len = _punishment_slots(reader)
+        if t_len is None:
+            try:
+                t_len = min_punishment_length(model, list(traffic_specs), StaticParams(n, band))
+            except InfeasiblePunishmentError as exc:
+                raise ScenarioParseError(f"punishment_T=auto failed: {exc}") from None
         scheme = StaticScheme(StaticParams(n, band, punishment_slots=t_len))
     elif scheme_kind == "entry":
         cost = reader.number("entry.cost", float, required=True)
@@ -235,14 +240,10 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def _punishment_length(reader: _Reader, model, traffic_specs, n: int) -> int:
-    raw = reader.raw("scheme.punishment_T", "auto")
-    if raw == "auto":
-        params = StaticParams(n, model.band_mhz)
-        try:
-            return min_punishment_length(model, list(traffic_specs), params)
-        except InfeasiblePunishmentError as exc:
-            raise ScenarioParseError(f"punishment_T=auto failed: {exc}") from None
+def _punishment_slots(reader: _Reader) -> int | None:
+    """`scheme.punishment_T` as a slot count, or None when it is `auto`."""
+    if reader.raw("scheme.punishment_T", "auto") == "auto":
+        return None
     t_len = reader.number("scheme.punishment_T", int, required=True)
     if t_len < 1:
         raise ScenarioParseError(
@@ -254,7 +255,7 @@ def _punishment_length(reader: _Reader, model, traffic_specs, n: int) -> int:
 def _dynamic_params(reader: _Reader, model, traffic_specs, n: int, discount: float) -> DynamicParams:
     cap = reader.number("scheme.balance_cap_mhz", float, required=True)
     trade_raw = reader.require("scheme.trade_mhz")
-    t_raw = reader.raw("scheme.punishment_T", "auto")
+    t_len = _punishment_slots(reader)
     try:
         if trade_raw == "auto":
             if n != 2:
@@ -265,20 +266,12 @@ def _dynamic_params(reader: _Reader, model, traffic_specs, n: int, discount: flo
             choice = choose_trade_size(n, model.band_mhz, cap, model, traffic_specs, discount)
             params = params_for_cap(n, model.band_mhz, choice.trade_mhz, cap,
                                     punishment_slots=choice.punishment_slots)
-            if t_raw == "auto":
-                return params
-            return dataclasses.replace(
-                params, punishment_slots=reader.number("scheme.punishment_T", int, required=True)
-            )
-        trade = reader.number("scheme.trade_mhz", float, required=True)
-        params = params_for_cap(n, model.band_mhz, trade, cap)
-        if t_raw == "auto":
-            t_len = min_punishment_slots(params, model, list(traffic_specs))
         else:
-            t_len = reader.number("scheme.punishment_T", int, required=True)
-            if t_len < 1:
-                raise ScenarioParseError("scheme.punishment_T must be at least 1")
-        return dataclasses.replace(params, punishment_slots=t_len)
+            trade = reader.number("scheme.trade_mhz", float, required=True)
+            params = params_for_cap(n, model.band_mhz, trade, cap)
+            if t_len is None:
+                t_len = min_punishment_slots(params, model, list(traffic_specs))
+        return params if t_len is None else dataclasses.replace(params, punishment_slots=t_len)
     except (InfeasiblePunishmentError, NoCertifiedTradeSizeError, HypothesisViolationError) as exc:
         raise ScenarioParseError(f"dynamic scheme setup failed: {exc}") from None
     except ValueError as exc:

@@ -1,5 +1,6 @@
 import pytest
 
+from bandshare import cli
 from bandshare.cli import (
     ScenarioParseError,
     main,
@@ -111,6 +112,26 @@ def test_auto_punishment_surfaces_infeasibility():
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(text)
     assert "deterrence" in str(err.value) or "failed" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        MINIMAL_FULL.replace("scheme.kind = full", "scheme.kind = static\nscheme.punishment_T = 0"),
+        DYNAMIC_BODY.format(delta=0.99, trade=10, t=0),
+        DYNAMIC_BODY.format(delta=0.99, trade="auto", t=0),
+    ],
+    ids=["static", "dynamic", "dynamic_auto_trade"],
+)
+def test_zero_punishment_rejected_with_line_before_sizing(text, monkeypatch):
+    def no_sizing(*args, **kwargs):
+        raise AssertionError("trade sizing ran before punishment_T was checked")
+
+    monkeypatch.setattr(cli, "choose_trade_size", no_sizing)
+    line = text.splitlines().index("scheme.punishment_T = 0") + 1
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text)
+    assert str(err.value) == f"line {line}: scheme.punishment_T must be at least 1"
 
 
 def test_cobb_douglas_parameter_keys():
