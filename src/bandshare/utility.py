@@ -40,7 +40,8 @@ class TabulatedRate:
     """Strictly increasing rate interpolated linearly from (gamma, value) knots.
 
     No analytic tail limit is available, so interference checks against it
-    cover only the scanned operator counts.
+    cover only the scanned operator counts.  Tables with the same knots
+    compare equal and hash alike, so equal `UtilityModel`s built apart do.
     """
 
     def __init__(self, knots):
@@ -52,7 +53,15 @@ class TabulatedRate:
         for (g0, v0), (g1, v1) in zip(pts, pts[1:]):
             if not v1 > v0:
                 raise ValueError("rate table must be strictly increasing")
-        self._pts = pts
+        self._pts = tuple(pts)
+
+    def __eq__(self, other):
+        if not isinstance(other, TabulatedRate):
+            return NotImplemented
+        return self._pts == other._pts
+
+    def __hash__(self):
+        return hash(self._pts)
 
     def __call__(self, gamma: float) -> float:
         if gamma < 0:
