@@ -373,8 +373,8 @@ def _lie_margins(params, model, values, columns, ops, discount):
     w_lie = table.width_id[:, lie, ops]
     pi_tab = table.utilities(model)
     gain = (1 - discount) * (pi_tab[levels, w_lie] - pi_tab[levels, w_truth])
-    own = np.arange(len(ops))
-    loss = discount * (values[truth_next, own] - values[lie_next, own])
+    value_col = np.arange(len(ops))
+    loss = discount * (values[truth_next, value_col] - values[lie_next, value_col])
     mask = (w_lie != w_truth) | (lie_next != truth_next)
     widths = np.array(table.widths_mhz)
     swing = widths[w_lie] - widths[w_truth]
@@ -859,15 +859,13 @@ def _n_op_values(table, model, traffic_specs, discount):
     """
     vectors, probs = _traffic_vectors(traffic_specs)
     columns = np.array([table.column(tv) for tv in vectors])
-    levels = table.reports[columns]
-    utilities = table.utilities(model)[levels, table.width_id[:, columns, :]]
+    utilities = table.utilities(model)[table.reports[columns], table.width_id[:, columns]]
     next_idx = table.next_index[:, columns]
-    size = len(table.states)
     rewards = sum(p * utilities[:, ti, :] for ti, p in enumerate(probs))
-    p_arr = np.asarray(probs)
-    if size <= 2000:
+    if len(table.states) <= 2000:
         values, _ = _solve(_transitions(next_idx, probs), rewards, discount)
     else:
+        p_arr = np.asarray(probs)
         values = (1.0 - discount) * rewards.copy()
         scale = max(1.0, float(np.max(np.abs(rewards))))
         for _ in range(200_000):
