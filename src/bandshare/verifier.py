@@ -7,7 +7,8 @@ deviation (a misreport, or occupying the wrong support) beats conformance in
 any reachable state; this module enumerates those comparisons exactly.
 `verify_truthfulness_n_ops` estimates misreports by paired
 common-random-number Monte Carlo instead when the joint chain has more
-states than its `exact_limit`.  `verify_dynamic_profile`, and so
+states than its `exact_limit`, and refuses an exact check above
+`EXACT_CELL_LIMIT` cells.  `verify_dynamic_profile`, and so
 `bandshare verify`, refuses every joint chain above `EXACT_CELL_LIMIT`
 cells, far fewer states than the default `exact_limit`, so only direct
 calls of `verify_truthfulness_n_ops` reach Monte Carlo.
@@ -19,7 +20,8 @@ the first time a check needs them.  Two operators are viewed one at a time
 through `BalanceChain`; more operators use the joint chain directly.  Both
 price their deviations with the same margins (`_lie_margins`,
 `_detectable_margins`), a view as the table's operator 0, and every direct
-value solve checks its residual against `RESIDUAL_TOL`.
+value solve checks its residual against `RESIDUAL_TOL`.  Two-operator
+revenue pricing builds its birth-death chain without the table.
 
 Deviation findings use value conventions:
   gain  - one-slot advantage of the deviation, (1-d) normalized
@@ -113,7 +115,9 @@ class OutcomeTable:
     the most significant bit.  The outcomes depend on the params alone, and
     `DynamicParams.outcomes` keeps the one table of its params;
     `utilities(model)` prices the distinct widths, one `model.pi` call per
-    (width, level) pair and model for the table's lifetime.
+    (width, level) pair and model for the table's lifetime.  Two-operator
+    revenue pricing (`stationary_sum_revenue`, `discounted_sum_revenue`)
+    reads no table: its birth-death chain is built directly.
     """
 
     states: np.ndarray  # (S, n) balance units
@@ -376,9 +380,9 @@ def _lie_margins(params, model, values, columns, ops, discount):
     value_col = np.arange(len(ops))
     loss = discount * (values[truth_next, value_col] - values[lie_next, value_col])
     mask = (w_lie != w_truth) | (lie_next != truth_next)
-    widths = np.array(table.widths_mhz)
-    swing = widths[w_lie] - widths[w_truth]
-    double = (levels == 0) & (np.abs(swing - 2 * params.trade_mhz) < 1e-12)
+    # lends in truth (its balance rises) and borrows in the lie (it falls)
+    own = table.states[:, None, ops]
+    double = (table.states[truth_next, ops] > own) & (table.states[lie_next, ops] < own)
     return gain, loss, mask, double
 
 
@@ -685,16 +689,42 @@ def verify_static_profile(
 
 def _sum_revenue_chain(params, model, traffic_specs, joint_probs):
     """Transitions of operator 0's balance and the expected one-slot total
-    utility of both operators, per balance state, under conformance."""
+    utility of both operators, per balance state, under conformance.
+
+    Two operators' conforming balance is a birth-death chain over operator
+    0's 2k+1 balances, so it is built directly, without the outcome table:
+    under reports (1, 0) operator 0 borrows one quantum above the floor,
+    under (0, 1) it lends one below the ceiling, and otherwise nothing
+    moves.  The widths are formed as the trading rule forms them and priced
+    once per level, so the chain is the table's to the bit."""
     _require_pair(params)
     joint = two_op_joint_probs(traffic_specs, joint_probs)
     pairs = [pair for pair, p in joint.items() if p > 0]
     probs = [joint[pair] for pair in pairs]
-    table = params.outcomes
-    columns = np.array([table.column(pair) for pair in pairs])
-    utilities = table.utilities(model)[table.reports[columns], table.width_id[:, columns]]
-    sums = sum(p * (utilities[:, j, 0] + utilities[:, j, 1]) for j, p in enumerate(probs))
-    return _transitions(table.next_index[:, columns], probs), sums
+    k = params.cap_units
+    rows = np.arange(2 * k + 1)  # row b + k holds operator 0's balance b
+    # operator 0's trade per row and pair: 1 borrows, -1 lends, 0 none
+    hold = np.zeros_like(rows)
+    trade_of = {
+        (0, 0): hold,
+        (0, 1): -(rows < 2 * k).astype(np.int64),
+        (1, 0): (rows > 0).astype(np.int64),
+        (1, 1): hold,
+    }
+    # prices[lam, t + 1]: utility of the width share + trade * t at level lam
+    prices = np.array(
+        [
+            [model.pi(params.share_mhz + params.trade_mhz * t, lam) for t in (-1.0, 0.0, 1.0)]
+            for lam in (0, 1)
+        ]
+    )
+    trades = [trade_of[pair] for pair in pairs]
+    sums = sum(
+        p * (prices[l0, 1 + t] + prices[l1, 1 - t])
+        for (l0, l1), p, t in zip(pairs, probs, trades)
+    )
+    next_index = np.stack([rows - t for t in trades], axis=1)
+    return _transitions(next_index, probs), sums
 
 
 def stationary_sum_revenue(
@@ -915,18 +945,21 @@ def verify_truthfulness_n_ops(
     """One-shot misreport check for n operators on the joint balance chain.
 
     When the joint state space fits within `exact_limit` the check is the
-    exact Bellman comparison over every (state, traffic vector, operator).
-    Otherwise deviation values are estimated by paired rollouts driven by
-    common random numbers, and a finding is profitable only when its 99%
-    lower confidence bound clears the tolerance (the confidence margin is
-    reported in the `loss` field, the paired standard error in
-    `estimate_se`, so `mc_replications` must be at least 2).
+    exact Bellman comparison over every (state, traffic vector, operator),
+    and raises ValueError up front when those are more than
+    `EXACT_CELL_LIMIT` cells.  Otherwise deviation values are estimated by
+    paired rollouts driven by common random numbers, and a finding is
+    profitable only when its 99% lower confidence bound clears the
+    tolerance (the confidence margin is reported in the `loss` field, the
+    paired standard error in `estimate_se`, so `mc_replications` must be at
+    least 2).
     """
     _check_n_op_inputs(params, traffic_specs, discount)
     if mc_replications < 2:
         raise ValueError("a standard error needs at least two replications")
     _gate_n_op(traffic_specs)
     if count_balance_states(params.n, params.cap_units) <= exact_limit:
+        _require_exact(params)
         return _exact_n_op_findings(params, model, traffic_specs, discount, tol)
     return _mc_n_op_findings(
         params,

@@ -7,7 +7,8 @@ deviation findings, the revenues and the many-operator check are built by
 the per-state loops below.  The table-driven verifier must give
 bit-identical results (compared through `float.hex`) for both operators'
 views, both utility families and joint traffic laws with zero-probability
-pairs.
+pairs.  The two-operator revenue chain, which the verifier builds without
+the table, is held to the table's form as well (`table_sum_chain`).
 """
 
 import dataclasses
@@ -18,8 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandshare import rng, verifier
-from bandshare.dynamic_sharing import DynamicParams
+from bandshare import figures, rng, verifier
+from bandshare.dynamic_sharing import DynamicParams, params_for_cap, trade_candidates
 from bandshare.traffic import two_level
 from bandshare.utility import CobbDouglasUtility, LinearUtility, UtilityModel
 from bandshare.verifier import (
@@ -207,6 +208,20 @@ def oracle_discounted(params, model, specs, discount, joint_probs=None):
     return float(values[params.cap_units])
 
 
+def table_sum_chain(params, model, specs, joint_probs=None):
+    """The sum-revenue chain read off the outcome table, the oracle of the
+    verifier's birth-death build: transitions and per-state sums."""
+    verifier._require_pair(params)
+    joint = two_op_joint_probs(specs, joint_probs)
+    pairs = [pair for pair, p in joint.items() if p > 0]
+    probs = [joint[pair] for pair in pairs]
+    table = outcome_table(params)
+    columns = np.array([table.column(pair) for pair in pairs])
+    utilities = table.utilities(model)[table.reports[columns], table.width_id[:, columns]]
+    sums = sum(p * (utilities[:, j, 0] + utilities[:, j, 1]) for j, p in enumerate(probs))
+    return verifier._transitions(table.next_index[:, columns], probs), sums
+
+
 def oracle_mc_values(params, model, specs, discount, replications, seed, horizon):
     joint, rewards, _, _, next_of, util_of = oracle_chain(params, model, specs)
     size = len(rewards)
@@ -287,9 +302,8 @@ def oracle_n_op_findings(params, model, specs, discount, tol=PROFIT_TOL):
                     model.pi(widths_lie[op], tv[op]) - model.pi(widths_truth[op], tv[op])
                 )
                 loss = float(discount * (values[truth_idx, op] - values[lie_idx, op]))
-                swing = widths_lie[op] - widths_truth[op]
                 note = ""
-                if tv[op] == 0 and abs(swing - 2 * delta) < 1e-12:
+                if next_truth[op] > units[op] > next_lie[op]:  # lends in truth, borrows in the lie
                     note = "borrow-instead-of-lend double swing"
                 findings.append(
                     DeviationFinding(
@@ -547,6 +561,53 @@ def test_revenues_and_lying_gain_match_oracle(params, model, highs, joint, disco
             assert lying_gain(pair, b, params, model).hex() == want.hex()
 
 
+def same_sum_chain(params, model, specs, joint=None):
+    want = outcome_of(lambda: table_sum_chain(params, model, specs, joint))
+    got = outcome_of(lambda: verifier._sum_revenue_chain(params, model, specs, joint))
+    if isinstance(want, type):
+        assert got is want
+        return
+    for got_part, want_part in zip(got, want):
+        same_array(got_part, want_part)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=pair_params(), model=MODELS, highs=st.tuples(HIGHS, HIGHS), joint=joint_laws())
+def test_sum_chain_matches_table(params, model, highs, joint):
+    same_sum_chain(params, model, [two_level(p) for p in highs], joint)
+
+
+def test_sum_chain_matches_table_on_default_figure_grids():
+    # every trade candidate of the default fig3 (cap 50 MHz, 0..30 dB) and
+    # fig4 (caps 50..400 MHz) sweeps, priced or not by the figure
+    share = figures.BAND_MHZ / 2
+    for p_db in range(0, 31):
+        model = figures.comparison_model(10.0 ** (p_db / 10.0))
+        for trade in trade_candidates(share, 50.0):
+            params = params_for_cap(2, figures.BAND_MHZ, trade, 50.0)
+            same_sum_chain(params, model, figures.COMPARISON_TRAFFIC)
+    model = UtilityModel(figures.BAND_MHZ, figures.CAP_SWEEP_POWER, family=LinearUtility())
+    for cap in range(50, 401, 50):
+        for trade in trade_candidates(share, float(cap)):
+            params = params_for_cap(2, figures.BAND_MHZ, trade, float(cap))
+            same_sum_chain(params, model, figures.CAP_SWEEP_TRAFFIC)
+
+
+def test_revenue_pricing_builds_no_table(monkeypatch):
+    def refused(params):
+        raise AssertionError("revenue pricing built an outcome table")
+
+    monkeypatch.setattr(verifier, "outcome_table", refused)
+    model = UtilityModel(W, 1000.0, family=CobbDouglasUtility())
+    specs = [two_level(0.25), two_level(0.5)]
+    params = DynamicParams(2, W, trade_mhz=12.5, cap_units=4)
+    stationary_sum_revenue(params, model, specs)
+    discounted_sum_revenue(params, model, specs, 0.99)
+    assert "outcomes" not in params.__dict__
+    rows = figures.balance_cap_rows([50.0, 400.0])
+    assert [row.balance_cap_mhz for row in rows] == [50.0, 400.0]
+
+
 @settings(max_examples=10, deadline=None)
 @given(params=pair_params(), model=MODELS, highs=st.tuples(HIGHS, HIGHS),
        seed=st.integers(0, 1000))
@@ -595,6 +656,27 @@ def test_n_op_detectable_matches_oracle(nk, trade, t_len, model, highs, discount
     same_findings(verify_detectable_n_ops(params, model, specs, discount), want)
 
 
+@pytest.mark.parametrize("band,trade", [(100.0, 5.0), (30_000.0, 0.1), (30_000.0, 0.3)])
+def test_double_swing_note_survives_coarse_widths(band, trade):
+    # at 30,000 MHz the widths round coarser than 1e-12, so a width swing
+    # compared with 2 * trade misses the lend-to-borrow cells of a 0.3 MHz trade
+    params = DynamicParams(3, band, trade_mhz=trade, cap_units=2, punishment_slots=7)
+    model = UtilityModel(band, 1000.0, family=CobbDouglasUtility())
+    specs = [two_level(0.5)] * 3
+    findings = verify_truthfulness_n_ops(params, model, specs, 0.99)
+    noted = []
+    for f in findings:
+        units = [round(b / trade) for b in f.balances_mhz]
+        lie = list(f.traffic)
+        lie[f.operator] = 1 - lie[f.operator]
+        truth_next = scalar_outcome(params, units, f.traffic)[1][f.operator]
+        lie_next = scalar_outcome(params, units, lie)[1][f.operator]
+        assert bool(f.note) == (truth_next > units[f.operator] > lie_next)
+        noted.append(bool(f.note))
+    assert sum(noted) == 8
+    same_findings(findings, oracle_n_op_findings(params, model, specs, 0.99))
+
+
 def canon(findings):
     return sorted(findings, key=lambda f: (f.operator, f.balances_mhz, f.traffic, f.kind))
 
@@ -631,6 +713,20 @@ def test_n_op_profile_fails_up_front_above_the_exact_limit():
             verify_dynamic_profile(params, model, specs, 0.99)
         with pytest.raises(ValueError, match=f"{cells} cells"):
             verify_detectable_n_ops(params, model, specs, 0.99)
+
+
+def test_n_op_truthfulness_fails_up_front_above_the_exact_limit():
+    # below EXACT_STATE_LIMIT states the misreport check is exact, and so
+    # bounded by EXACT_CELL_LIMIT cells: n=3 with caps of 118 units and n=6
+    # with caps of 5 (91171 states, 35M cells) are refused before any table
+    model = UtilityModel(100.0, 1000.0, family=CobbDouglasUtility())
+    for n, k in ((3, 118), (6, 5)):
+        cells = count_balance_states(n, k) * 2**n * n
+        assert count_balance_states(n, k) <= verifier.EXACT_STATE_LIMIT < cells
+        params = DynamicParams(n, 100.0, trade_mhz=1.0, cap_units=k, punishment_slots=50)
+        with pytest.raises(ValueError, match=f"{cells} cells"):
+            verify_truthfulness_n_ops(params, model, [two_level(0.5)] * n, 0.99)
+        assert "outcomes" not in params.__dict__
 
 
 def test_outcome_table_built_once_per_params(monkeypatch):
