@@ -403,7 +403,7 @@ def cmd_verify(args) -> int:
         )
     else:  # entry: check the static profile at each reachable market size
         findings = []
-        n_star = min(scenario.n, _entry_market_size(scheme.params))
+        n_star = min(scenario.n, scheme.params.n_star)
         for size in range(2, n_star + 1):
             findings.extend(
                 verify_static_profile(
@@ -429,12 +429,6 @@ def cmd_verify(args) -> int:
         print(f"{bad} profitable deviation(s) found", file=sys.stderr)
         return 1
     return 0
-
-
-def _entry_market_size(params: EntryParams) -> int:
-    from .entry import max_entrants
-
-    return max_entrants(params.cost, params.model, params.traffic, params.n_cap)
 
 
 def _parse_grid(spec: str, kind=float) -> list:

@@ -6,12 +6,15 @@ runs and replication order.  Deviation experiments inject misreports (report
 manipulation, dynamic scheme only) or support overrides (any scheme); the
 scheme's own detection and punishment then run unmodified.
 
-Dynamic sharing runs on its params' outcome table (`DynamicParams.outcomes`)
-through one replication kernel: a replication walks its balance row through
-the table, the only sequential step, and prices and discounts every slot as
-arrays.  Params whose table would exceed `TABLE_CELL_LIMIT` cells are
-refused up front.  Full-spectrum, static and entry sharing advance slot by
-slot through the scheme's own step.
+Every scheme runs through a replication kernel that draws the traffic of
+all slots at once, applies the trigger rule in one walk (`_walk`), and
+prices and discounts every slot as arrays.  Dynamic sharing runs on its
+params' outcome table (`DynamicParams.outcomes`): the walk steps its balance
+row through the table, and params whose table would exceed
+`TABLE_CELL_LIMIT` cells are refused up front.  Full-spectrum, static and
+entry sharing know every slot's market size in advance, so their walk only
+visits the override slots, and each slot reads the price table of its
+cooperation or punishment profile.
 """
 
 from __future__ import annotations
@@ -19,20 +22,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from . import rng, traffic as traffic_mod
 from .dynamic_sharing import DynamicParams
-from .entry import EntryParams, entry_step, initial_entry_state
+from .entry import EntryParams
 from .spectrum import SpectrumAllocation
-from .static_sharing import (
-    COOPERATION,
-    PUNISHMENT,
-    StaticParams,
-    TriggerState,
-    step as static_step,
-)
+from .static_sharing import COOPERATION, PUNISHMENT, StaticParams
 from .traffic import TrafficSpec
 from .utility import UtilityModel
 
@@ -178,13 +176,7 @@ def _override_alloc(inj: DeviationInjector, model: UtilityModel) -> SpectrumAllo
 def _levels(scenario: Scenario, replication: int) -> np.ndarray:
     """(n, H) traffic levels of one replication."""
     seed = _rep_seed(scenario.seed, replication)
-    return np.array(
-        [
-            traffic_mod.sample_slots(spec, seed, i, scenario.horizon)
-            for i, spec in enumerate(scenario.traffic_specs)
-        ],
-        dtype=float,
-    )
+    return traffic_mod.sample_grid(scenario.traffic_specs, seed, scenario.horizon)
 
 
 def run(scenario: Scenario, injectors=(), replication: int = 0, collect_trace: bool = True):
@@ -193,103 +185,13 @@ def run(scenario: Scenario, injectors=(), replication: int = 0, collect_trace: b
     Each slot: traffic is drawn, reports (dynamic only) and emissions are
     formed with any injector overrides applied, the scheme advances on the
     previous slot's emissions, and utilities accrue from what was actually
-    transmitted."""
+    transmitted.  A replication kernel does this for all slots at once."""
     _validate_injectors(scenario, injectors)
-    scheme = scenario.scheme
-    if isinstance(scheme, DynamicScheme):
-        kernel = _DynamicKernel(scenario, injectors)
-        slots = kernel.slots(replication)
-        utils = kernel.utilities(slots)
-        return (kernel.trace(slots, utils) if collect_trace else None), kernel.report(utils)
-
-    model = scenario.model
-    n = scenario.n
-    d = scenario.discount
-    lams = _levels(scenario, replication).T.tolist()
-    full = SpectrumAllocation.full_band(model.band_mhz)
-    # a handful of distinct (width, level) and (active, level) pairs recur
-    pi = functools.cache(model.pi)
-    full_utility = functools.cache(model.full_spectrum_utility)
-
-    if isinstance(scheme, StaticScheme):
-        state: object = TriggerState()
-    elif isinstance(scheme, EntryScheme):
-        state = initial_entry_state(scheme.params)
-    elif not isinstance(scheme, FullSpectrumScheme):
-        raise TypeError(f"unknown scheme {scheme!r}")
-
-    trace = Trace() if collect_trace else None
-    revenues = [0.0] * n
-    weight = 1.0 - d
-    u_max = 0.0
-    observed: list[SpectrumAllocation] | None = None
-
-    for t in range(scenario.horizon):
-        lam = lams[t]
-
-        if isinstance(scheme, FullSpectrumScheme):
-            allocs = [full] * n
-            phase_label = "full"
-        elif isinstance(scheme, StaticScheme):
-            state, profile = static_step(scheme.params, state, observed)
-            allocs = list(profile)
-            phase_label = state.phase
-        else:  # EntryScheme
-            arrival = t in scheme.params.arrival_slots
-            obs_active = observed[: state.active] if observed is not None else None
-            state, _decision, active_allocs = entry_step(
-                scheme.params, state, observed_allocs=obs_active, arrival=arrival
-            )
-            allocs = active_allocs + [SpectrumAllocation.empty()] * (n - len(active_allocs))
-            phase_label = state.trigger.phase
-
-        overridden = False
-        for inj in injectors:  # only support overrides: lies are dynamic-only
-            if inj.active(t):
-                allocs[inj.operator] = _override_alloc(inj, model)
-                overridden = True
-
-        if isinstance(scheme, FullSpectrumScheme) and not overridden:
-            utils = [full_utility(n, lam[i]) for i in range(n)]
-        elif phase_label == PUNISHMENT and not overridden:
-            active = sum(1 for a in allocs if not a.is_empty())
-            utils = [
-                full_utility(active, lam[i]) if not allocs[i].is_empty() else 0.0
-                for i in range(n)
-            ]
-        elif not overridden:
-            utils = [pi(allocs[i].width, lam[i]) for i in range(n)]
-        else:
-            utils = [
-                model.utility(allocs[i], [a for j, a in enumerate(allocs) if j != i], lam[i])
-                for i in range(n)
-            ]
-
-        for i in range(n):
-            revenues[i] += weight * utils[i]
-            if utils[i] > u_max:
-                u_max = utils[i]
-        if collect_trace:
-            for i in range(n):
-                trace.slot.append(t)
-                trace.operator.append(i)
-                trace.traffic.append(lam[i])
-                trace.width_mhz.append(allocs[i].width)
-                trace.utility.append(utils[i])
-                trace.balance_mhz.append(0.0)
-                trace.phase.append(phase_label)
-
-        observed = allocs
-        weight *= d
-
-    tail = (d**scenario.horizon) * u_max if d > 0 else 0.0
-    report = RevenueReport(
-        revenues=tuple(revenues),
-        discount=d,
-        horizon=scenario.horizon,
-        tail_bound=tail,
-    )
-    return trace, report
+    is_dynamic = isinstance(scenario.scheme, DynamicScheme)
+    kernel = (_DynamicKernel if is_dynamic else _TriggerKernel)(scenario, injectors)
+    slots = kernel.slots(replication)
+    utils = kernel.utilities(slots)
+    return (kernel.trace(slots, utils) if collect_trace else None), kernel.report(utils)
 
 
 def _tile(raw: np.ndarray, band_mhz: float) -> tuple[np.ndarray, np.ndarray]:
@@ -340,24 +242,26 @@ class DynamicLookups:
 
 @dataclass(frozen=True)
 class _Slots:
-    """One dynamic replication walked through the outcome table."""
+    """One replication walked through the trigger rule."""
 
     levels: np.ndarray  # (n, H) traffic levels
-    rows: np.ndarray  # (H,) balance row each slot starts in
-    cols: np.ndarray  # (H,) report column of each slot
     punished: np.ndarray  # (H,) whether the slot punishes
     observed: dict  # override slot -> every operator's support in that slot
+    rows: np.ndarray | None = None  # (H,) balance row each slot starts in (dynamic)
+    cols: np.ndarray | None = None  # (H,) report column of each slot (dynamic)
 
 
-def _walk(next_rows, cols, row, window, checks, observe):
+def _walk(next_rows, cols, row, checks, observe):
     """Balance row each slot starts in, and which slots punish.
 
     Cooperation slots advance the row through `next_rows`; punishment slots
-    hold it.  `checks` are the override slots, ascending; `observe(slot,
-    row, punished)` tells whether that slot's supports differ from what it
-    prescribed.  As in `static_sharing.punishment_left`, such a deviation
-    starts a `window`-slot punishment on the next slot, unless a window is
-    still running then.
+    hold it (a scheme without balances walks a one-row table).  `checks` are
+    the override slots, ascending; `observe(slot, row, punished)` returns the
+    length of the punishment that slot's supports call for: 0 when they are
+    what it prescribed, or when the next slot makes no comparison.  As in
+    `static_sharing.punishment_left`, such a deviation starts its window on
+    the next slot, unless a window is still running then; a grim window is
+    longer than the horizon.
     """
     horizon = len(cols)
     rows: list[int] = []
@@ -372,8 +276,10 @@ def _walk(next_rows, cols, row, window, checks, observe):
         for col in cols[t + held : stop]:
             rows.append(row)
             row = next_rows[row][col]
-        if s < horizon and observe(s, rows[s], punished[s]) and not due:
-            due = window
+        if s < horizon:
+            window = observe(s, rows[s], punished[s])
+            if not due:
+                due = window
         t = stop
     return rows, punished
 
@@ -396,40 +302,191 @@ def _require_table(params: DynamicParams):
         )
 
 
-class _DynamicKernel:
+class _Kernel:
+    """What the replication kernels share: support overrides and discounting.
+
+    A kernel serves one scenario under fixed injectors.  Only override slots
+    build supports; their utilities go through the model's effective
+    bandwidth, kept per distinct profile because it does not depend on the
+    traffic.  Revenues are discounted with sequential `cumprod`/`cumsum`,
+    which round exactly as a running `+=` does.
+    """
+
+    def __init__(self, scenario: Scenario, injectors):
+        n, horizon, model = scenario.n, scenario.horizon, scenario.model
+        self.scenario = scenario
+        width_injs = [inj for inj in injectors if not inj.is_lie()]
+        self.override_allocs = [_override_alloc(inj, model) for inj in width_injs]
+        owners: dict[int, list[int]] = {}  # the last injector active on (operator, slot) wins
+        for j, inj in enumerate(width_injs):
+            for slot in range(horizon)[inj.span()]:
+                owners.setdefault(slot, [-1] * n)[inj.operator] = j
+        self.owners = dict(sorted(owners.items()))  # override slot -> injector per operator
+        self.price = functools.cache(model.pi)  # a handful of (width, level) pairs recur
+        self.effective: dict = {}  # supports -> every operator's effective bandwidth
+        weights = np.full(horizon, scenario.discount)
+        weights[0] = 1.0 - scenario.discount
+        self.weights = np.cumprod(weights)
+
+    def seen(self, slot: int, prescribed) -> tuple:
+        """Every operator's support in override slot `slot`, which prescribed `prescribed`."""
+        return tuple(
+            a if j < 0 else self.override_allocs[j] for a, j in zip(prescribed, self.owners[slot])
+        )
+
+    def price_overrides(self, slots: _Slots, utils: np.ndarray):
+        """Write every override slot's utilities into the (H, n) `utils`."""
+        model = self.scenario.model
+        for slot, seen in slots.observed.items():
+            if seen not in self.effective:
+                self.effective[seen] = [
+                    model.effective_bandwidth(a, seen[:i] + seen[i + 1 :])
+                    for i, a in enumerate(seen)
+                ]
+            lams = slots.levels[:, slot].tolist()
+            utils[slot] = [self.price(x, lam) for x, lam in zip(self.effective[seen], lams)]
+
+    def report(self, utils: np.ndarray) -> RevenueReport:
+        """Revenue report of one replication's (H, n) utilities."""
+        d, horizon = self.scenario.discount, self.scenario.horizon
+        revenues = np.cumsum(self.weights[:, None] * utils, axis=0)[-1]
+        tail = (d**horizon) * float(utils.max()) if d > 0 else 0.0
+        return RevenueReport(tuple(revenues.tolist()), d, horizon, tail)
+
+
+class _TriggerKernel(_Kernel):
+    """Full-spectrum, static and entry replications of one scenario.
+
+    Every slot's market size is known before a replication starts: entry
+    grows it at each investing arrival (the first `n_star` arrivals within
+    the horizon), the other schemes keep all n operators.  A slot prescribes
+    one of two profiles of its size, the cooperation blocks or every active
+    operator on the full band (punishment), so the trigger rule is walked
+    only at override slots, the only slots whose supports can differ from
+    what they prescribed.  Each profile has an (operator, level) price
+    table: `pi` of the block width in cooperation, and in punishment the
+    full-spectrum utility of the active operators and 0.0 for the rest.
+    Full-spectrum sharing is one full-band profile that is never compared.
+    """
+
+    def __init__(self, scenario: Scenario, injectors):
+        super().__init__(scenario, injectors)
+        n, horizon, scheme, model = scenario.n, scenario.horizon, scenario.scheme, scenario.model
+        full, empty = SpectrumAllocation.full_band(model.band_mhz), SpectrumAllocation.empty()
+        self.growth: set[int] = set()  # slots at which the market grows
+        self.labels = (COOPERATION, PUNISHMENT)
+        if isinstance(scheme, FullSpectrumScheme):
+            self.labels = ("full", "full")
+            self.sizes, coops, self.windows = [n], [None], [0]
+        elif isinstance(scheme, StaticScheme):
+            params = scheme.params
+            self.sizes, coops = [n], [(params.blocks, params.block_widths)]
+            self.windows = [horizon if params.grim else params.punishment_slots]
+        elif isinstance(scheme, EntryScheme):
+            within = [s for s in scheme.params.arrival_slots if 0 <= s < horizon]
+            self.growth = set(within[: scheme.params.n_star])
+            self.sizes = list(range(len(self.growth) + 1))
+            statics = [scheme.params.static_params(a) for a in self.sizes[1:]]
+            coops = [((), ())] + [(p.blocks, p.block_widths) for p in statics]
+            self.windows = [0] + [p.punishment_slots for p in statics]
+        else:
+            raise TypeError(f"unknown scheme {scheme!r}")
+        # size index of every slot: the growth slots up to it, as Python ints for the walk
+        grows = (slot in self.growth for slot in range(horizon))
+        self.size_ids = list(accumulate(grows, initial=0))[1:]
+        self.size_id = np.array(self.size_ids)
+        self.no_rows = [0] * horizon  # the walk's one-row table
+
+        # profile 2k: cooperation at size k, 2k + 1: punishment; supports and widths
+        self.profiles, self.widths = [], []
+        for a, coop in zip(self.sizes, coops):
+            idle, idle_widths = (empty,) * (n - a), (empty.width,) * (n - a)
+            on_full, full_widths = (full,) * a + idle, (full.width,) * a + idle_widths
+            blocks, block_widths = (on_full, full_widths) if coop is None else coop
+            self.profiles += [blocks + idle, on_full]
+            self.widths += [block_widths + idle_widths, full_widths]
+        # priced as floats, as the levels are drawn
+        levels = sorted({float(lv) for spec in scenario.traffic_specs for lv in spec.levels})
+        self.level_values = np.array(levels)
+        self.table = np.zeros((len(self.profiles), n, len(levels)))  # (profile, operator, level)
+        priced = [2 * k for k, coop in enumerate(coops) if coop is not None]
+        if priced:  # each distinct block width priced once
+            ids: dict = {}
+            for p in priced:
+                for w in self.widths[p]:
+                    ids.setdefault(w, len(ids))
+            prices = np.array([[model.pi(w, lam) for lam in levels] for w in ids])
+            self.table[priced] = prices[[[ids[w] for w in self.widths[p]] for p in priced]]
+        for k, (a, coop) in enumerate(zip(self.sizes, coops)):
+            if a and (coop is None or self.owners):  # punishment needs an override
+                self.table[2 * k + 1, :a] = [model.full_spectrum_utility(a, lam) for lam in levels]
+        if coops[0] is None:  # full-spectrum sharing cooperates on the full band
+            self.table[0] = self.table[1]
+
+    def slots(self, replication: int) -> _Slots:
+        observed = {}
+
+        def observe(slot, _row, punished):
+            k = self.size_ids[slot]
+            prescribed = self.profiles[2 * k + int(punished)]
+            seen = observed[slot] = self.seen(slot, prescribed)
+            if slot + 1 in self.growth:  # the market grows: nothing to compare
+                return 0
+            a = self.sizes[k]
+            return self.windows[k] if seen[:a] != prescribed[:a] else 0
+
+        _rows, punished = _walk(((0,),), self.no_rows, 0, self.owners, observe)
+        return _Slots(_levels(self.scenario, replication), punished, observed)
+
+    def profile_ids(self, slots: _Slots) -> np.ndarray:
+        return 2 * self.size_id + slots.punished
+
+    def utilities(self, slots: _Slots) -> np.ndarray:
+        """(H, n) utility of every slot and operator."""
+        level_ids = np.searchsorted(self.level_values, slots.levels).T
+        operators = np.arange(self.scenario.n)
+        utils = self.table[self.profile_ids(slots)[:, None], operators, level_ids]
+        self.price_overrides(slots, utils)
+        return utils
+
+    def trace(self, slots: _Slots, utils: np.ndarray) -> Trace:
+        horizon, n = utils.shape
+        ids = self.profile_ids(slots).tolist()
+        widths = [w for p in ids for w in self.widths[p]]
+        for slot, seen in slots.observed.items():
+            widths[slot * n : (slot + 1) * n] = [a.width for a in seen]
+        return Trace(
+            slot=np.repeat(np.arange(horizon), n).tolist(),
+            operator=list(range(n)) * horizon,
+            traffic=slots.levels.T.ravel().tolist(),
+            width_mhz=widths,
+            utility=utils.ravel().tolist(),
+            balance_mhz=[0.0] * (horizon * n),
+            phase=[self.labels[p % 2] for p in ids for _ in range(n)],
+        )
+
+
+class _DynamicKernel(_Kernel):
     """Dynamic-sharing replications of one scenario under fixed injectors.
 
     A replication draws its traffic, turns reports into outcome-table
-    columns, walks the balance row (the only sequential step), gathers
-    every (slot, operator) utility from the per-params price tables, and
-    discounts with sequential `cumprod`/`cumsum`, which round exactly as a
-    running `+=` does.  Only override slots build supports.
+    columns, walks the balance row (the only sequential step), and gathers
+    every (slot, operator) utility from the per-params price tables.
     """
 
     def __init__(self, scenario: Scenario, injectors):
         params = scenario.scheme.params
         _require_table(params)
-        n, horizon, model = scenario.n, scenario.horizon, scenario.model
-        self.scenario = scenario
+        super().__init__(scenario, injectors)
+        n, model = scenario.n, scenario.model
         self.lookups = params.lookups
         # (2, W) utility of each tiled width, and (2,) full-spectrum utility, per level
         levels, widths = (0.0, 1.0), self.lookups.widths_mhz
         self.pi_table = np.array([[model.pi(w, lam) for w in widths] for lam in levels])
         self.full_table = np.array([model.full_spectrum_utility(n, lam) for lam in levels])
-        self.overrides: dict = {}  # (supports, levels) -> every operator's utility
         self.columns = 1 << np.arange(n - 1, -1, -1)  # operator 0's report is the top bit
         self.lies = [inj for inj in injectors if inj.is_lie()]
-        width_injs = [inj for inj in injectors if not inj.is_lie()]
-        self.override_allocs = [_override_alloc(inj, scenario.model) for inj in width_injs]
-        owner = np.full((n, horizon), -1)  # the last injector active on (operator, slot) wins
-        for j, inj in enumerate(width_injs):
-            owner[inj.operator, inj.span()] = j
-        slots = np.flatnonzero((owner >= 0).any(axis=0))
-        self.owners = dict(zip(slots.tolist(), owner[:, slots].T.tolist()))
-        self.full_profile = (SpectrumAllocation.full_band(scenario.model.band_mhz),) * n
-        weights = np.full(horizon, scenario.discount)
-        weights[0] = 1.0 - scenario.discount
-        self.weights = np.cumprod(weights)
+        self.full_profile = (SpectrumAllocation.full_band(model.band_mhz),) * n
 
     def slots(self, replication: int) -> _Slots:
         lookups = self.lookups
@@ -439,49 +496,25 @@ class _DynamicKernel:
             reports[inj.operator, inj.span()] = inj.kind == LIE_HIGH
         cols = self.columns @ reports
         col_list = cols.tolist()  # the walk steps on Python ints
+        window = self.scenario.scheme.params.punishment_slots
         observed = {}
 
         def observe(slot, row, punished):
             prescribed = self.full_profile if punished else lookups.profile(row, col_list[slot])
-            seen = tuple(
-                a if j < 0 else self.override_allocs[j]
-                for a, j in zip(prescribed, self.owners[slot])
-            )
-            observed[slot] = seen
-            return seen != prescribed
+            seen = observed[slot] = self.seen(slot, prescribed)
+            return window if seen != prescribed else 0
 
-        rows, punished = _walk(
-            lookups.next_rows,
-            col_list,
-            lookups.zero_row,
-            self.scenario.scheme.params.punishment_slots,
-            self.owners,
-            observe,
-        )
-        return _Slots(levels, np.fromiter(rows, np.intp, len(rows)), cols, punished, observed)
+        rows, punished = _walk(lookups.next_rows, col_list, lookups.zero_row, self.owners, observe)
+        rows = np.fromiter(rows, np.intp, len(rows))
+        return _Slots(levels, punished, observed, rows, cols)
 
     def utilities(self, slots: _Slots) -> np.ndarray:
         """(H, n) utility of every slot and operator."""
         levels = slots.levels.T.astype(np.intp)
         utils = self.pi_table[levels, self.lookups.width_id[slots.rows, slots.cols]]
         utils[slots.punished] = self.full_table[levels[slots.punished]]
-        model = self.scenario.model
-        for slot, seen in slots.observed.items():
-            key = (seen, tuple(slots.levels[:, slot].tolist()))
-            if key not in self.overrides:
-                self.overrides[key] = [
-                    model.utility(a, seen[:i] + seen[i + 1 :], lam)
-                    for i, (a, lam) in enumerate(zip(*key))
-                ]
-            utils[slot] = self.overrides[key]
+        self.price_overrides(slots, utils)
         return utils
-
-    def report(self, utils: np.ndarray) -> RevenueReport:
-        """Revenue report of one replication's (H, n) utilities."""
-        d, horizon = self.scenario.discount, self.scenario.horizon
-        revenues = np.cumsum(self.weights[:, None] * utils, axis=0)[-1]
-        tail = (d**horizon) * float(utils.max()) if d > 0 else 0.0
-        return RevenueReport(tuple(revenues.tolist()), d, horizon, tail)
 
     def trace(self, slots: _Slots, utils: np.ndarray) -> Trace:
         lookups = self.lookups

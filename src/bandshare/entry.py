@@ -4,16 +4,20 @@ Prospective operators arrive one at a time.  Entering costs `cost` utility
 units up front; an entrant expects the full-spectrum floor utility at worst,
 so entry pays off only while that floor covers the cost.  `max_entrants`
 is the largest market size whose floor still does; later arrivals stay out,
-and incumbents re-partition the band equally whenever someone joins.  A slot
-costs O(n): each market size's static profile (punishment length and block
-tiling) is built when first reached and kept on the `EntryParams`.  The
-actives follow the static scheme's trigger rule (`static_sharing.TriggerState`);
-an entrant that transmits out of equilibrium starts its punishment for good.
+and incumbents re-partition the band equally whenever someone joins.  The
+market size (`EntryParams.n_star`) is scanned once per params, and each
+market size's static profile (punishment length and block tiling) is built
+when first reached; both are kept on the `EntryParams`.  The actives follow
+the static scheme's trigger rule (`static_sharing.TriggerState`); an entrant
+that transmits out of equilibrium starts its punishment for good.
+`entry_step` advances one slot; the simulator runs whole replications on
+the engine's trigger kernel, which reads the same params.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .spectrum import SpectrumAllocation
 from .static_sharing import PUNISHMENT, StaticParams, TriggerState, min_punishment_length, step
@@ -87,6 +91,11 @@ class EntryParams:
         if any(b <= a for a, b in zip(self.arrival_slots, self.arrival_slots[1:])):
             raise ValueError("arrival slots must be strictly increasing")
 
+    @cached_property
+    def n_star(self) -> int:
+        """The market size: `max_entrants` of these params, scanned once."""
+        return max_entrants(self.cost, self.model, self.traffic, self.n_cap)
+
     def static_params(self, active: int) -> StaticParams:
         """Equal blocks and sized punishment of an `active`-operator market, kept per size."""
         sized = self._static_by_size
@@ -111,9 +120,7 @@ class EntryState:
 
 
 def initial_entry_state(params: EntryParams) -> EntryState:
-    return EntryState(
-        n_star=max_entrants(params.cost, params.model, params.traffic, params.n_cap)
-    )
+    return EntryState(n_star=params.n_star)
 
 
 def entry_step(

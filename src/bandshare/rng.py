@@ -42,12 +42,25 @@ def _mix64_arr(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _uniform01_arr(h: np.ndarray) -> np.ndarray:
+    """Uniform draws in [0, 1) from the uint64 keys `h`, as `uniform01` forms them."""
+    with np.errstate(over="ignore"):
+        z = _mix64_arr(h)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 def uniform01_array(seed: int, *key: int, counters: np.ndarray) -> np.ndarray:
     """Vectorized uniform draws: one per entry of `counters`.
 
     Equals [uniform01(seed, *key, c) for c in counters] exactly.
     """
-    with np.errstate(over="ignore"):
-        h = np.uint64(key_hash(seed, *key))
-        z = _mix64_arr(h ^ counters.astype(np.uint64))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return _uniform01_arr(np.uint64(key_hash(seed, *key)) ^ counters.astype(np.uint64))
+
+
+def uniform01_grid(seed: int, keys, counters: np.ndarray) -> np.ndarray:
+    """(len(keys), len(counters)) uniform draws in one pass.
+
+    Row r equals uniform01_array(seed, keys[r], counters=counters) exactly.
+    """
+    h = np.array([key_hash(seed, k) for k in keys], dtype=np.uint64)
+    return _uniform01_arr(h[:, None] ^ counters.astype(np.uint64))

@@ -4,15 +4,16 @@ In the cooperation state every operator transmits on its fixed block and the
 blocks tile the band.  Any support mismatch observed in the previous slot
 sends everyone (deviator included) to full-band transmission: forever under
 the grim variant, otherwise for exactly `punishment_slots` slots, counting
-the slot in which the deviation is first answered.  `step` advances the whole
-profile in O(n) per slot, against the block tiling that each `StaticParams`
-instance builds once and caches (`blocks`).
+the slot in which the deviation is first answered.  Each `StaticParams`
+instance builds its block tiling once and caches it (`blocks`).
 
-The trigger rule is one state machine: `TriggerState` and `punishment_left`
-drive static `step` and entry (`entry.entry_step`).  Dynamic sharing follows
-the same rule inside the engine's replication kernel, which walks a whole
-replication over the outcome table (`engine._walk`); only what each scheme
-prescribes in cooperation differs.
+The trigger rule has two forms.  Per slot, `TriggerState` and
+`punishment_left` drive static `step` and entry (`entry.entry_step`).  Per
+replication, the simulator applies it in one walk (`engine._walk`) for
+every scheme: only override slots can deviate, so only they are compared,
+and a deviation starts its window on the next slot unless one is running.
+Only what each scheme prescribes in cooperation differs.  The tests hold
+the two forms to the same traces.
 """
 
 from __future__ import annotations
@@ -78,6 +79,11 @@ class StaticParams:
             SpectrumAllocation.block(lo * band, min(lo * band + self.block_width(i), band), band)
             for i, lo in enumerate(starts)
         )
+
+    @cached_property
+    def block_widths(self) -> tuple[float, ...]:
+        """Width of each cooperation block, as `blocks[i].width`."""
+        return tuple(b.width for b in self.blocks)
 
     @cached_property
     def full_band_profile(self) -> Profile:

@@ -53,7 +53,7 @@ class TrafficSpec:
 
     @cached_property
     def _sampling_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cdf, levels) for `sample_slots`; the levels repeat the top level
+        """(cdf, levels) for `sample_grid`; the levels repeat the top level
         once more for draws at or past the cdf's last step."""
         cdf = np.cumsum(self.probs)
         levels = np.array(self.levels + self.levels[-1:])
@@ -92,9 +92,26 @@ def sample(spec: TrafficSpec, seed: int, operator: int, slot: int) -> float:
 
 def sample_slots(spec: TrafficSpec, seed: int, operator: int, n_slots: int) -> np.ndarray:
     """Vectorized draws for slots 0..n_slots-1; matches sample() exactly."""
-    u = rng.uniform01_array(seed, operator, counters=np.arange(n_slots))
-    cdf, levels = spec._sampling_tables
-    return levels[np.searchsorted(cdf, u, side="right")]
+    return sample_grid((spec,), seed, n_slots, operators=(operator,))[0]
+
+
+def sample_grid(specs, seed: int, n_slots: int, operators=None) -> np.ndarray:
+    """(len(specs), n_slots) draws: row r is operator `operators[r]` (default
+    r) under `specs[r]` for slots 0..n_slots-1, and matches sample() exactly.
+
+    One hash pass covers the whole grid; each distinct spec then maps its
+    rows' uniforms to levels with one `searchsorted`."""
+    if operators is None:
+        operators = range(len(specs))
+    u = rng.uniform01_grid(seed, operators, np.arange(n_slots))
+    rows_of: dict[TrafficSpec, list[int]] = {}
+    for r, spec in enumerate(specs):
+        rows_of.setdefault(spec, []).append(r)
+    out = np.empty(u.shape)
+    for spec, rows in rows_of.items():
+        cdf, levels = spec._sampling_tables
+        out[rows] = levels[np.searchsorted(cdf, u[rows], side="right")]
+    return out
 
 
 def expectation(spec: TrafficSpec, g) -> float:

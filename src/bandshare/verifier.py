@@ -801,6 +801,7 @@ def mc_value_estimate(
     size = len(chain.rewards)
     keep = chain.positive
     cdf = np.cumsum(np.array(list(chain.probs.values()))[keep])
+    steps = cdf[:-1].tolist()
     next_tab = chain.next_index[:, keep]
     util_tab = chain.utilities[:, keep]
     means = np.zeros(size)
@@ -811,8 +812,11 @@ def mc_value_estimate(
         weight = 1.0 - discount
         for t in range(horizon):
             u = rng.uniform01_array(seed, start, t, counters=np.arange(replications))
-            idx = np.searchsorted(cdf, u, side="right")
-            idx = np.minimum(idx, len(cdf) - 1)
+            # searchsorted(cdf, u, side="right") clamped to the last entry, as
+            # one comparison per step of the short cdf, which is faster
+            idx = np.zeros(replications, dtype=np.intp)
+            for step in steps:
+                idx += u >= step
             acc += weight * util_tab[states, idx]
             states = next_tab[states, idx]
             weight *= discount

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import pytest
 
+from bandshare import entry
+from bandshare.engine import EntryScheme, Scenario, run
 from bandshare.entry import (
     EntryCapExceededError,
     EntryParams,
@@ -168,3 +171,13 @@ def test_high_cost_first_arrival_stays_out():
 def test_arrival_slots_must_increase():
     with pytest.raises(ValueError):
         params_with(40.0, arrivals=(3, 3))
+
+
+def test_market_size_is_scanned_once_per_params():
+    params = params_with(40.0, arrivals=(0, 1, 2))
+    scenario = Scenario(3, MODEL, (HALF,) * 3, EntryScheme(params), 0.9, 20, seed=1)
+    with mock.patch.object(entry, "max_entrants", wraps=max_entrants) as scan:
+        for rep in range(3):
+            run(scenario, replication=rep, collect_trace=False)
+        assert initial_entry_state(params).n_star == params.n_star == 2
+    assert scan.call_count == 1

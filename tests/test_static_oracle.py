@@ -4,8 +4,9 @@ The oracle is the per-operator form of the trigger rule: each operator's
 call checks conformance by rebuilding every block with `static_allocation`
 and then emits its own block; the profile it prescribed is what the
 operators emitted.  The profile step must give the same next
-state and bit-identical supports, and the engine must give identical traces
-and revenues whichever of the two it runs on.
+state and bit-identical supports, and the engine's trigger kernel must give
+the traces and revenues of the slot-by-slot loop (`scalar_trigger`) run on
+the per-operator step.
 """
 
 from dataclasses import replace
@@ -13,7 +14,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from bandshare import engine, entry
+from bandshare import entry
 from bandshare.engine import (
     FULL_BAND,
     USE_WIDTH,
@@ -35,6 +36,7 @@ from bandshare.static_sharing import (
 )
 from bandshare.traffic import two_level
 from bandshare.utility import CobbDouglasUtility, UtilityModel
+import scalar_trigger
 
 W = 100.0
 MODEL = UtilityModel(W, 1000.0, family=CobbDouglasUtility())
@@ -79,10 +81,11 @@ def uncached_static_params(self, active):
 
 
 def run_on_oracle(scenario, injectors):
-    with mock.patch.object(engine, "static_step", oracle_step), mock.patch.object(
+    """The slot-by-slot loop, stepping static and entry sharing per operator."""
+    with mock.patch.object(scalar_trigger, "static_step", oracle_step), mock.patch.object(
         entry, "step", oracle_step
     ), mock.patch.object(EntryParams, "static_params", uncached_static_params):
-        return run(scenario, injectors)
+        return scalar_trigger.scalar_run(scenario, injectors)
 
 
 @st.composite

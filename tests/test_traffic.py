@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bandshare import traffic
+from bandshare import engine, rng, traffic
 from bandshare.utility import LinearUtility, UtilityModel
 
 
@@ -86,3 +86,34 @@ def test_marginal_matches_spec_chi_square():
         observed = int((draws == level).sum())
         chi2 += (observed - n * p) ** 2 / (n * p)
     assert chi2 < 13.82  # 2 dof, far tail (p ~ 0.001)
+
+
+def test_grid_draws_match_per_operator_and_scalar_draws():
+    two = [traffic.two_level(0.25), traffic.two_level(0.5)]
+    multi = [
+        traffic.finite_levels([(0.0, 0.2), (1.0, 0.5), (3.0, 0.3)]),
+        traffic.finite_levels([(0.0, 0.1), (0.5, 0.2), (1.0, 0.3), (2.0, 0.4)]),
+    ]
+    specs = (two[0], multi[0], two[1], two[0], multi[1], multi[0])
+    scenario = engine.Scenario(
+        n=len(specs), model=UtilityModel(100.0, 100.0), traffic_specs=specs,
+        scheme=engine.FullSpectrumScheme(), discount=0.9, horizon=97, seed=41,
+    )
+    for replication in (0, 3):
+        grid = engine._levels(scenario, replication)
+        seed = engine._rep_seed(scenario.seed, replication)
+        assert grid.shape == (len(specs), 97)
+        for i, spec in enumerate(specs):
+            row = traffic.sample_slots(spec, seed, i, 97)
+            u = rng.uniform01_array(seed, i, counters=np.arange(97))
+            cdf, levels = spec._sampling_tables
+            per_operator = levels[np.searchsorted(cdf, u, side="right")]
+            assert grid[i].tolist() == row.tolist() == per_operator.tolist()
+            assert row.tolist() == [traffic.sample(spec, seed, i, t) for t in range(97)]
+
+
+def test_uniform_grid_rows_match_uniform_arrays():
+    counters = np.arange(50)
+    grid = rng.uniform01_grid(77, [4, 0, 9], counters)
+    for row, key in zip(grid, [4, 0, 9]):
+        assert row.tolist() == rng.uniform01_array(77, key, counters=counters).tolist()
